@@ -22,6 +22,7 @@
 #include "exp/condition.hpp"
 #include "matching/bipartite.hpp"
 #include "fault/fault.hpp"
+#include "fault/invariants.hpp"
 #include "load/engine.hpp"
 #include "load/source.hpp"
 #include "net/generators.hpp"
@@ -129,6 +130,37 @@ void BM_LargeTopoRepairLinkFlap(benchmark::State& state) {
   state.SetLabel(std::to_string(side * side) + " sites, per flap=2 repairs");
 }
 BENCHMARK(BM_LargeTopoRepairLinkFlap)->Arg(16)->Arg(32);
+
+void BM_InvariantCheckerRepair(benchmark::State& state) {
+  // The same link flap on a 12x12 grid with the §12 checker auditing every
+  // repair, as in a checked chaos run: one long-lived checker, so after its
+  // first audit each on_repair diffs against its shadow and re-checks only
+  // the lines whose inputs changed. Timed per repair + audit.
+  Rng rng(13);
+  const std::size_t side = 12;
+  const Topology topo = make_grid(side, side, DelayRange{0.5, 2.0}, rng);
+  const SiteId a = static_cast<SiteId>(side * (side / 2) + side / 2);
+  const SiteId b = a + 1;
+  fault::FaultPlan plan;
+  plan.events = {fault::FaultEvent{1.0, fault::FaultKind::kLinkDown, a, b},
+                 fault::FaultEvent{2.0, fault::FaultKind::kLinkUp, a, b}};
+  fault::FaultState faults(topo, plan);
+  auto tables = phased_apsp(topo, 4);
+  ApspRepairer repairer(topo, 4);
+  fault::InvariantChecker checker;
+  const SiteId changed[2] = {a, b};
+  for (auto _ : state) {
+    for (const auto& ev : plan.events) {
+      faults.apply(ev);
+      repairer.repair(tables, &faults, changed);
+      checker.on_repair(tables, topo, faults, ev.at);
+    }
+  }
+  if (checker.violations() != 0) state.SkipWithError("checker fired");
+  state.SetItemsProcessed(int64_t(state.iterations()) * 2);  // repairs
+  state.SetLabel("144 sites, per flap=2 repairs + audits");
+}
+BENCHMARK(BM_InvariantCheckerRepair);
 
 void BM_LargeTopoEndToEndRound(benchmark::State& state) {
   // Whole-system round at N=1024: construction (APSP + 1024 spheres) plus

@@ -162,27 +162,14 @@ FaultState::FaultState(const Topology& topo, const FaultPlan& plan)
       dup_prob_(plan.dup_prob),
       reorder_prob_(plan.reorder_prob),
       reorder_delay_max_(plan.reorder_delay_max),
-      perturb_rng_(plan.seed ^ 0x9e3779b97f4a7c15ULL) {
-  link_of_pair_.reserve(topo.link_count());
-  const auto& links = topo.links();
-  for (std::size_t i = 0; i < links.size(); ++i) {
-    const auto lo = std::min(links[i].a, links[i].b);
-    const auto hi = std::max(links[i].a, links[i].b);
-    link_of_pair_.emplace_back((std::uint64_t{lo} << 32) | hi, i);
-  }
-  std::sort(link_of_pair_.begin(), link_of_pair_.end());
-}
+      perturb_rng_(plan.seed ^ 0x9e3779b97f4a7c15ULL) {}
 
 std::size_t FaultState::link_index(SiteId a, SiteId b) const {
-  const auto lo = std::min(a, b);
-  const auto hi = std::max(a, b);
-  const std::uint64_t key = (std::uint64_t{lo} << 32) | hi;
-  const auto it = std::lower_bound(
-      link_of_pair_.begin(), link_of_pair_.end(), key,
-      [](const auto& entry, std::uint64_t k) { return entry.first < k; });
-  RTDS_REQUIRE_MSG(it != link_of_pair_.end() && it->first == key,
-                   "no link " << a << "--" << b << " in the topology");
-  return it->second;
+  RTDS_REQUIRE(a < topo_.site_count());
+  for (const Neighbor& nb : topo_.neighbors(a))
+    if (nb.site == b) return nb.link;
+  RTDS_REQUIRE_MSG(false, "no link " << a << "--" << b << " in the topology");
+  return 0;
 }
 
 bool FaultState::link_up(SiteId a, SiteId b) const {

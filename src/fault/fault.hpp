@@ -171,8 +171,6 @@ class FaultState {
   const Topology& topo_;
   std::vector<char> site_up_;
   std::vector<char> link_up_;  ///< by Topology::links() index
-  /// (min,max) endpoint pair -> links() index, sorted for binary search.
-  std::vector<std::pair<std::uint64_t, std::size_t>> link_of_pair_;
   std::size_t sites_down_ = 0;
   std::size_t links_down_ = 0;
   double drop_prob_ = 0.0;

@@ -3,11 +3,13 @@
 // never leak, the simulation clock never runs backwards — and under the
 // adversarial network model (duplication, reordering, partitions) they are
 // exactly what the hardening must preserve. RtdsSystem registers one
-// checker per run when enabled; each hook is O(1), and violations are
-// counted into RunMetrics::invariant_violations and reported through the
-// obs layer (an "invariant" counter plus a trace instant). In fatal mode
-// (the tests' default) the first violation throws, so a chaos soak cannot
-// quietly pass with a broken invariant.
+// checker per run when enabled. The per-event hooks are O(1) (the
+// decision and seq maps are hashed); on_repair is incremental — a table
+// diff plus changed lines × degree, full only on its first call — and
+// violations are counted into RunMetrics::invariant_violations and
+// reported through the obs layer (an "invariant" counter plus a trace
+// instant). In fatal mode (the tests' default) the first violation
+// throws, so a chaos soak cannot quietly pass with a broken invariant.
 //
 // Catalog:
 //   monotone-time      simulator events execute at non-decreasing times
@@ -28,16 +30,17 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dag/dag.hpp"
 #include "net/topology.hpp"
+#include "routing/routing_table.hpp"
 #include "util/flat_map.hpp"
 #include "util/time.hpp"
 
 namespace rtds {
 struct RunMetrics;
-class RoutingTable;
 }
 
 namespace rtds::fault {
@@ -77,6 +80,12 @@ class InvariantChecker {
   /// Post-repair hook: every live route must cross a live link and agree
   /// with its next hop's table (dist = link delay + next-hop dist, hops =
   /// next-hop hops + 1). Catches under-dirtied incremental repairs.
+  ///
+  /// Incremental (DESIGN.md §12): after a full first audit, a call
+  /// re-checks only the lines whose inputs changed — found by diffing the
+  /// tables and link liveness against a shadow of the last audit, never
+  /// from the repairer's dirty set — plus the last audit's violators, with
+  /// exactly a full audit's counts, first fatal message and obs output.
   void on_repair(const std::vector<RoutingTable>& tables, const Topology& topo,
                  const FaultState& faults, Time now);
   /// Bounded admission-queue accounting hooks (shed-conservation).
@@ -92,6 +101,16 @@ class InvariantChecker {
 
  private:
   void violate(const std::string& what, Time now, SiteId site);
+  /// repair-consistency verdict for one live line; true when it violated.
+  bool check_line(const std::vector<RoutingTable>& tables, const Topology& topo,
+                  const FaultState& faults, SiteId s, SiteId dest,
+                  const RouteLine& line, Time now);
+  /// Queues line (s, dest) for the incremental audit.
+  void recheck(SiteId s, SiteId dest);
+  /// Queues line (s, dest) and every neighbour's line to `dest` routed
+  /// through s: the lines whose inputs include line (s, dest).
+  void recheck_dependents(const std::vector<RoutingTable>& tables,
+                          const Topology& topo, SiteId s, SiteId dest);
 
   Time last_event_time_ = 0.0;
   std::uint64_t submitted_ = 0;
@@ -101,6 +120,17 @@ class InvariantChecker {
   std::uint64_t queue_pushed_ = 0;
   std::uint64_t queue_removed_ = 0;
   std::uint64_t sheds_ = 0;
+
+  /// on_repair's shadow of the routing state at its last complete audit.
+  /// Derived state: never serialized, cleared on snapshot restore.
+  bool shadow_valid_ = false;
+  const Topology* shadow_topo_ = nullptr;
+  std::vector<RoutingTable> shadow_tables_;
+  std::vector<char> shadow_live_;  ///< by Topology::links() index
+  std::vector<std::pair<SiteId, SiteId>> violators_;  ///< (site, dest)
+  /// Scratch: destinations to re-check per site, and the sites queued.
+  std::vector<std::vector<SiteId>> recheck_;
+  std::vector<SiteId> recheck_sites_;
 
   friend struct snap::Access;  // checkpoints restore the audit counters
 };

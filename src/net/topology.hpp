@@ -29,6 +29,7 @@ struct Link {
 
 struct Neighbor {
   SiteId site = 0;
+  std::uint32_t link = 0;  ///< index of the link in Topology::links()
   Time delay = 0.0;
   double throughput = 0.0;
 };

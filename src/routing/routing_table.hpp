@@ -124,6 +124,10 @@ class RoutingTable {
   std::size_t slot_count() const { return dests_.size(); }
   SiteId dest_at(std::size_t slot) const { return dests_[slot]; }
   const RouteLine& line_at(std::size_t slot) const { return lines_[slot]; }
+  /// The whole slot arrays, for bulk comparison (the invariant checker
+  /// diffs tables against its shadow with one memcmp each).
+  std::span<const SiteId> dests() const { return dests_; }
+  std::span<const RouteLine> lines() const { return lines_; }
 
  private:
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);

@@ -240,9 +240,9 @@ void Access::load(Reader& r, Pcs& p) {
 // --- fault/fault.hpp ---
 
 void Access::save(Writer& w, const fault::FaultState& f) {
-  // topo_ (reference) and link_of_pair_ (ctor-derived) are not stored; the
-  // perturbation parameters ARE, as a guard: they must round-trip equal to
-  // what the fresh construction derived from the plan.
+  // topo_ (a reference) is not stored; the perturbation parameters ARE, as
+  // a guard: they must round-trip equal to what the fresh construction
+  // derived from the plan.
   w.u64(f.site_up_.size());
   for (char c : f.site_up_) w.u8(static_cast<std::uint8_t>(c));
   w.u64(f.link_up_.size());
@@ -331,6 +331,13 @@ void Access::load(Reader& r, fault::InvariantChecker& c) {
   c.queue_pushed_ = r.u64();
   c.queue_removed_ = r.u64();
   c.sheds_ = r.u64();
+  // The repair audit's shadow is derived, not stored: drop it so the next
+  // on_repair audits the restored tables in full.
+  c.shadow_valid_ = false;
+  c.shadow_topo_ = nullptr;
+  c.shadow_tables_.clear();
+  c.shadow_live_.clear();
+  c.violators_.clear();
 }
 
 // --- fault/dedup.hpp ---

@@ -1,9 +1,10 @@
 // Fuzzer subsystem regression (DESIGN.md §15).
 //
 // Five contracts are pinned here:
-//  (a) the three PR-10 invariants (seq-monotone, repair-consistency,
-//      shed-conservation) each fire on a hand-built violation and stay
-//      silent on the legal counterpart;
+//  (a) the seq-monotone, repair-consistency and shed-conservation
+//      invariants each fire on a hand-built violation and stay silent on
+//      the legal counterpart, and the incremental repair audit reports
+//      exactly what a full audit reports;
 //  (b) the .repro text format round-trips bit-for-bit for generated
 //      scenarios, and generation is a pure function of (seed, index);
 //  (c) a --runs-bounded campaign reports identical findings whatever the
@@ -28,10 +29,12 @@
 #include "fuzz/generator.hpp"
 #include "fuzz/scenario.hpp"
 #include "fuzz/shrink.hpp"
+#include "net/generators.hpp"
 #include "net/topology.hpp"
 #include "routing/apsp.hpp"
 #include "routing/routing_table.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace rtds {
 namespace {
@@ -93,6 +96,144 @@ TEST(FuzzInvariants, RepairConsistencyRejectsRouteOverDeadLink) {
   faults.apply(FaultEvent{0.0, FaultKind::kLinkDown, 0, 1});
   InvariantChecker chk;
   EXPECT_THROW(chk.on_repair(tables, topo, faults, 1.0), ContractViolation);
+}
+
+/// The first violation message `chk.on_repair` throws in fatal mode, or ""
+/// when the audit passes.
+std::string first_repair_violation(InvariantChecker& chk,
+                                   const std::vector<RoutingTable>& tables,
+                                   const Topology& topo,
+                                   const FaultState& faults, Time now) {
+  const fuzz::FatalScope fatal;
+  try {
+    chk.on_repair(tables, topo, faults, now);
+  } catch (const ContractViolation& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// A random live multi-hop line (s, dest) of `tables`, or false if the
+/// draw found none.
+bool pick_multi_hop(const std::vector<RoutingTable>& tables, Rng& rng,
+                    SiteId& s, SiteId& dest) {
+  s = static_cast<SiteId>(rng.uniform_int(0, tables.size() - 1));
+  const RoutingTable& table = tables[s];
+  if (table.slot_count() == 0) return false;
+  const auto slot = static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(table.slot_count()) - 1));
+  const RouteLine& line = table.line_at(slot);
+  dest = table.dest_at(slot);
+  return line.dist < kInfiniteTime && dest != s && line.next_hop != dest;
+}
+
+// The incremental repair audit (a long-lived checker diffing against its
+// shadow) must equal a full audit (a fresh checker) after every repair:
+// same violation count, same first fatal message. Between repairs the
+// tables are corrupted behind the repairer's back, so the incremental
+// path has to find the damage by content, not from the repair's dirty set.
+TEST(FuzzInvariants, IncrementalRepairAuditMatchesFullAudit) {
+  ASSERT_FALSE(fault::invariants_fatal());
+  Rng rng(2024);
+  const Topology topo = make_grid(12, 12, DelayRange{0.5, 1.5}, rng);
+  const std::size_t phases = 4;  // h = 2
+  const FaultPlan empty;
+  FaultState faults(topo, empty);
+  auto tables = phased_apsp(topo, phases);
+  ApspRepairer repairer(topo, phases);
+  InvariantChecker inc;
+  std::uint64_t corruptions = 0, violating_audits = 0;
+  auto audit = [&](Time now) {
+    InvariantChecker probe = inc;  // a copy keeps inc's shadow valid
+    InvariantChecker fresh_fatal;
+    const std::string msg = first_repair_violation(fresh_fatal, tables, topo,
+                                                   faults, now);
+    EXPECT_EQ(first_repair_violation(probe, tables, topo, faults, now), msg)
+        << "at t=" << now;
+    const std::uint64_t before = inc.violations();
+    InvariantChecker fresh;
+    fresh.on_repair(tables, topo, faults, now);
+    inc.on_repair(tables, topo, faults, now);
+    EXPECT_EQ(inc.violations() - before, fresh.violations()) << "at t=" << now;
+    violating_audits += fresh.violations() > 0 ? 1 : 0;
+  };
+  audit(0.0);
+  const auto& links = topo.links();
+  for (int step = 1; step <= 400; ++step) {
+    const Time now = step;
+    SiteId s = 0, dest = 0;
+    switch (rng.uniform_int(0, 7)) {
+      case 0:  // a dist below the next hop's lower bound
+        if (pick_multi_hop(tables, rng, s, dest)) {
+          RouteLine line = *tables[s].find(dest);
+          line.dist -= 0.25;
+          tables[s].set_line(dest, line);
+          ++corruptions;
+        }
+        break;
+      case 1:  // the next hop's line withdrawn
+        if (pick_multi_hop(tables, rng, s, dest)) {
+          tables[tables[s].find(dest)->next_hop].set_line(dest, RouteLine{});
+          ++corruptions;
+        }
+        break;
+      case 2: {  // a link dies and no table changes
+        const auto& l = links[rng.uniform_int(0, links.size() - 1)];
+        if (faults.apply(FaultEvent{now, FaultKind::kLinkDown, l.a, l.b})) {
+          audit(now);
+          ++corruptions;
+        }
+        break;
+      }
+      case 3:  // a tombstone slot inserted, or a live line tombstoned
+        s = static_cast<SiteId>(rng.uniform_int(0, tables.size() - 1));
+        dest = static_cast<SiteId>(rng.uniform_int(0, tables.size() - 1));
+        if (dest != s) {
+          tables[s].set_line(dest, RouteLine{});
+          ++corruptions;
+        }
+        break;
+      case 4:  // every route rebuilt: the damage heals, the shadow churns
+        tables = phased_apsp(topo, phases, &faults);
+        break;
+      default:
+        break;
+    }
+    // One scripted topology change, repaired incrementally.
+    FaultEvent ev{now, FaultKind::kLinkDown, 0, kNoSite};
+    switch (rng.uniform_int(0, 2)) {
+      case 0: {
+        const auto& l = links[rng.uniform_int(0, links.size() - 1)];
+        ev.kind = rng.bernoulli(0.5) ? FaultKind::kLinkDown : FaultKind::kLinkUp;
+        ev.a = l.a;
+        ev.b = l.b;
+        break;
+      }
+      case 1:
+        ev.kind = rng.bernoulli(0.5) ? FaultKind::kSiteDown : FaultKind::kSiteUp;
+        ev.a = static_cast<SiteId>(rng.uniform_int(0, tables.size() - 1));
+        break;
+      default:
+        ev.kind = faults.partition_boundary() == 0 ? FaultKind::kPartition
+                                                   : FaultKind::kHeal;
+        ev.a = static_cast<SiteId>(rng.uniform_int(1, tables.size() - 1));
+        break;
+    }
+    if (!faults.apply(ev)) continue;
+    std::vector<SiteId> changed;
+    if (ev.kind == FaultKind::kPartition || ev.kind == FaultKind::kHeal) {
+      changed = faults.partition_changed_sites();
+    } else {
+      changed.push_back(ev.a);
+      if (ev.b != kNoSite) changed.push_back(ev.b);
+    }
+    repairer.repair(tables, &faults, changed);
+    audit(now);
+  }
+  // The run must have exercised both verdicts, or it proves nothing.
+  EXPECT_GT(corruptions, 100u);
+  EXPECT_GT(violating_audits, 50u);
+  EXPECT_GT(inc.violations(), 0u);
 }
 
 TEST(FuzzInvariants, ShedConservationRejectsQueueAccountingDrift) {

@@ -8,7 +8,8 @@
 //      drain, and require the final RunMetrics JSONL and obs metrics JSONL
 //      to be byte-identical to the uninterrupted run — across seeds and
 //      transport models, including a second-generation snapshot taken
-//      *after* a resume;
+//      *after* a resume — and the invariant checker's derived repair-audit
+//      state is rebuilt, not trusted, after a restore;
 //  (b) recording parity: turning record_events on changes no output bytes;
 //  (c) sweep journal: a journal-checkpointed sweep reproduces the plain
 //      sweep's aggregates at --jobs 1/3/8, and resuming from a truncated
@@ -34,12 +35,15 @@
 #include "exp/runner.hpp"
 #include "exp/scenarios.hpp"
 #include "exp/sinks.hpp"
+#include "fault/fault.hpp"
 #include "fault/fault_params.hpp"
+#include "fault/invariants.hpp"
 #include "load/engine.hpp"
 #include "load/source.hpp"
 #include "obs/obs.hpp"
 #include "policy/policy.hpp"
 #include "policy/rtds_params.hpp"
+#include "routing/routing_table.hpp"
 #include "snap/io.hpp"
 #include "snap/journal.hpp"
 #include "snap/snapshot.hpp"
@@ -217,6 +221,48 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(std::uint64_t{2}, "ideal"),
                       std::make_tuple(std::uint64_t{3}, "contended"),
                       std::make_tuple(std::uint64_t{7}, "contended")));
+
+// The invariant checker's repair-audit shadow (its copy of the tables as
+// of its last audit) is derived state: not in the snapshot, dropped on
+// restore. A table corrupted after a resume must be reported by the next
+// repair audit exactly as a fresh checker reports it.
+TEST(SnapshotResume, NextRepairAuditReportsCorruptionAfterResume) {
+  const ChaosCase cc = make_chaos_case(2, "ideal");
+  const Topology& topo = cc.condition.topo;
+  RtdsSystem sys(topo, cc.cfg);
+  sys.start(cc.condition.arrivals);
+  sys.step_events(1500);
+  RtdsSystem resumed(topo, cc.cfg);
+  Snapshot::load(Snapshot::save(sys), resumed);
+  ASSERT_NE(resumed.checker(), nullptr);
+  fault::InvariantChecker& chk = *resumed.checker();
+  const fault::FaultState& faults = *resumed.fault_state();
+  const std::uint64_t before = chk.violations();
+
+  // Corrupt one multi-hop line over a live link: a distance below the
+  // next hop's lower bound.
+  std::vector<RoutingTable> tables = resumed.routing_tables();
+  bool corrupted = false;
+  for (SiteId s = 0; s < tables.size() && !corrupted; ++s) {
+    for (std::size_t slot = 0; slot < tables[s].slot_count(); ++slot) {
+      RouteLine line = tables[s].line_at(slot);
+      const SiteId dest = tables[s].dest_at(slot);
+      if (line.dist >= kInfiniteTime || dest == s || line.next_hop == dest ||
+          !faults.link_up(s, line.next_hop))
+        continue;
+      line.dist -= 0.5;
+      tables[s].set_line(dest, line);
+      corrupted = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(corrupted);
+  chk.on_repair(tables, topo, faults, 1.0);
+  fault::InvariantChecker fresh;
+  fresh.on_repair(tables, topo, faults, 1.0);
+  EXPECT_GT(fresh.violations(), 0u);
+  EXPECT_EQ(chk.violations() - before, fresh.violations());
+}
 
 // ---------------------------------------------- (b) recording parity --
 
