@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "baseline/broadcast.hpp"
 #include "core/mapper.hpp"
 #include "dag/analysis.hpp"
 #include "core/rtds_system.hpp"
@@ -382,6 +383,26 @@ void BM_WorkloadSimulation(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(jobs));
 }
 BENCHMARK(BM_WorkloadSimulation);
+
+void BM_BroadcastBaseline(benchmark::State& state) {
+  // The [4]-style BCAST baseline on the E2 offload condition (8×8 grid,
+  // rate 0.04, horizon 800): its periodic network-wide surplus flood is
+  // the cost this row tracks. Items = jobs decided.
+  exp::ConditionSpec cs = exp::offload_regime();
+  cs.net = NetShape::kGrid;
+  cs.sites = 64;
+  cs.horizon = 800.0;
+  cs.rate = 0.04;
+  cs.seed = 42;
+  const exp::Condition c = exp::make_condition(cs);
+  std::uint64_t jobs = 0;
+  for (auto _ : state) {
+    const RunMetrics m = run_broadcast(c.topo, c.arrivals, BroadcastConfig{});
+    jobs += m.arrived;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(jobs));
+}
+BENCHMARK(BM_BroadcastBaseline);
 
 // ------------------------------------------------------- §12 hardening ----
 

@@ -1,6 +1,7 @@
 #include "baseline/broadcast.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "core/messages.hpp"
 #include "net/shortest_paths.hpp"
@@ -11,8 +12,8 @@ namespace rtds {
 
 namespace {
 
-// Message structs (SurplusMsg, FocusedOffer, FocusedReply) live in
-// core/messages.hpp as MessageBody alternatives.
+// Message structs (FocusedOffer, FocusedReply) live in core/messages.hpp
+// as MessageBody alternatives; a surplus flood has none (see the header).
 enum BroadcastCategory : int {
   kMsgSurplusFlood = 21,
   kMsgFocusedOffer = 22,
@@ -26,7 +27,10 @@ class BroadcastDriver {
         cfg_(cfg),
         net_(sim_, topo_),
         alive_(topo.site_count(), 1),
-        epoch_(topo.site_count(), 0) {
+        epoch_(topo.site_count(), 0),
+        floods_(topo.site_count()),
+        heard_(topo.site_count(),
+               std::vector<std::uint32_t>(topo.site_count(), 0)) {
     for (SiteId s = 0; s < topo_.site_count(); ++s) {
       paths_.push_back(dijkstra(topo_, s));
       LocalSchedulerConfig sc = cfg_.sched;
@@ -95,6 +99,7 @@ class BroadcastDriver {
 
   void crash(SiteId s) {
     if (!alive_[s]) return;
+    catch_up(s, /*apply=*/true);
     alive_[s] = 0;
     ++epoch_[s];  // pending completion events of this life become stale
     LocalSchedulerConfig sc = cfg_.sched;
@@ -114,7 +119,24 @@ class BroadcastDriver {
     }
   }
 
-  void recover(SiteId s) { alive_[s] = 1; }
+  void recover(SiteId s) {
+    catch_up(s, /*apply=*/false);  // landed while `s` was down: lost
+    alive_[s] = 1;
+  }
+
+  /// Applies (apply = false: skips) every flood landing on `o` strictly
+  /// before now. One landing exactly now sorts after the crash, recover and
+  /// arrival events that call this: they were all queued first.
+  void catch_up(SiteId o, bool apply) {
+    for (SiteId s = 0; s < topo_.site_count(); ++s) {
+      if (s == o) continue;
+      const auto& log = floods_[s];
+      std::uint32_t& next = heard_[o][s];
+      for (; next < log.size() && log[next].at + paths_[s].dist[o] < sim_.now();
+           ++next)
+        if (apply) surplus_table_[o][s] = log[next].surplus;
+    }
+  }
 
   void schedule_broadcast(SiteId s, Time at) {
     if (time_gt(at, broadcast_until_)) return;
@@ -129,12 +151,12 @@ class BroadcastDriver {
           scheds_[s].plan().surplus(sim_.now(), cfg_.surplus_window);
       surplus_table_[s][s] = surplus;
       // Flood to every other site, shortest-path routed: the O(N) per-site
-      // per-period cost the Computing Sphere exists to avoid.
-      for (SiteId to = 0; to < topo_.site_count(); ++to) {
-        if (to == s) continue;
-        net_.send_routed(s, to, paths_[s].dist[to], paths_[s].hops[to],
-                         SurplusMsg{surplus}, kMsgSurplusFlood);
-      }
+      // per-period cost the Computing Sphere exists to avoid. Each copy is
+      // counted now and read by its observer's next catch_up.
+      for (SiteId to = 0; to < topo_.site_count(); ++to)
+        if (to != s)
+          net_.count_routed(s, to, paths_[s].hops[to], kMsgSurplusFlood);
+      floods_[s].push_back({sim_.now(), surplus});
       schedule_broadcast(s, sim_.now() + cfg_.broadcast_period);
     });
   }
@@ -194,6 +216,7 @@ class BroadcastDriver {
       return;
     }
     // Focused addressing from the (stale) global surplus table.
+    catch_up(site, /*apply=*/true);
     Initiation init;
     init.initiator = site;
     init.job = job;
@@ -237,11 +260,9 @@ class BroadcastDriver {
         send_job_msg(self, from, FocusedReply{offer->job, false},
                      kMsgFocusedReply, offer->job);
       }
-      return;  // floods and replies addressed to a dead site are lost
+      return;  // replies addressed to a dead site are lost
     }
-    if (const auto* surplus = std::get_if<SurplusMsg>(&payload)) {
-      surplus_table_[self][from] = surplus->surplus;
-    } else if (const auto* offer = std::get_if<FocusedOffer>(&payload)) {
+    if (const auto* offer = std::get_if<FocusedOffer>(&payload)) {
       const bool ok = try_local(self, *offer->job_data);
       send_job_msg(self, from, FocusedReply{offer->job, ok}, kMsgFocusedReply,
                    offer->job);
@@ -271,6 +292,14 @@ class BroadcastDriver {
   std::vector<LocalScheduler> scheds_;
   /// surplus_table_[observer][site] = last surplus heard from `site`.
   std::vector<std::vector<double>> surplus_table_;
+  struct Flood {
+    Time at;  ///< send instant
+    double surplus;
+  };
+  /// floods_[site]: every flood `site` sent; heard_[observer][site]: how
+  /// many of them `observer` has read or lost (32-bit: there are N²).
+  std::vector<std::vector<Flood>> floods_;
+  std::vector<std::vector<std::uint32_t>> heard_;
   Time broadcast_until_ = 0.0;
   std::map<JobId, Initiation> active_;
   std::map<JobId, JobTrack> accepted_;

@@ -11,6 +11,15 @@
 // refusals walk down the table up to max_attempts. Comparing its total
 // message budget against RTDS's sphere-bounded budget is experiment E1's
 // point; comparing acceptance shows what staleness costs.
+//
+// A flood is *counted* at send, in full: N−1 routed sends, each charged
+// its hops and traced. It is not *simulated* as N−1 delivery events,
+// because a copy's only effect is one table store. Each site logs its
+// floods instead. An observer's row is brought up to date when it is read
+// (at an arrival that ranks it, and at the observer's crash) to every
+// copy that landed strictly before the reading instant; a recovery skips
+// the copies that landed while the site was down. That is what the event
+// queue's (time, seq) order would have delivered (DESIGN.md §9).
 #pragma once
 
 #include <vector>

@@ -56,9 +56,6 @@ struct OfferReply {
 
 // --- baseline/broadcast.cpp (periodic flooding + focused addressing) ---
 
-struct SurplusMsg {
-  double surplus = 0.0;
-};
 struct FocusedOffer {
   JobId job = 0;
   std::shared_ptr<const Job> job_data;
@@ -76,8 +73,8 @@ using MessageBody =
                  // routing (§7.2)
                  ApspTableMsg,
                  // baselines
-                 BidRequest, BidReply, OfferMsg, OfferReply, SurplusMsg,
-                 FocusedOffer, FocusedReply,
+                 BidRequest, BidReply, OfferMsg, OfferReply, FocusedOffer,
+                 FocusedReply,
                  // tests / debug
                  std::string>;
 

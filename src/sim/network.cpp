@@ -133,13 +133,18 @@ void SimNetwork::send_routed(SiteId from, SiteId to, Time path_delay,
     deliver(from, to, 0.0, std::move(payload));
     return;
   }
-  RTDS_REQUIRE_MSG(hops >= 1, "multi-site route needs >= 1 hop");
   RTDS_REQUIRE(path_delay >= 0.0);
+  count_routed(from, to, hops, category);
+  deliver(from, to, path_delay, std::move(payload));
+}
+
+void SimNetwork::count_routed(SiteId from, SiteId to, std::size_t hops,
+                              int category) {
+  RTDS_REQUIRE_MSG(hops >= 1, "multi-site route needs >= 1 hop");
   stats_.record(category, hops);
   if (auto* tr = obs::tracer())
     tr->instant("net", obs_category_cstr(category), sim_.now(), from, to,
                 hops);
-  deliver(from, to, path_delay, std::move(payload));
 }
 
 void SimNetwork::send_local(SiteId site, Time delay, MessageBody payload,

@@ -177,6 +177,10 @@ class SimNetwork {
   void send_routed(SiteId from, SiteId to, Time path_delay, std::size_t hops,
                    MessageBody payload, int category = 0);
 
+  /// send_routed's accounting without the delivery (hops >= 1): for a
+  /// caller that applies the message's effect itself (the BCAST flood).
+  void count_routed(SiteId from, SiteId to, std::size_t hops, int category);
+
   /// Local self-delivery after `delay` (e.g. mapper compute time). Charged
   /// zero link-messages.
   void send_local(SiteId site, Time delay, MessageBody payload,

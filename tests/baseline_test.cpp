@@ -2,6 +2,9 @@
 // metrics, and the expected dominance ordering holds on a common workload.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <sstream>
+
 #include "baseline/broadcast.hpp"
 #include "baseline/centralized.hpp"
 #include "baseline/local_only.hpp"
@@ -176,6 +179,116 @@ TEST(Broadcast, StaleTableCostsAcceptancesVsFreshBids) {
   OffloadConfig bid_cfg;
   const auto bid = run_offload(b.topo, b.arrivals, bid_cfg);
   EXPECT_GE(bid.guarantee_ratio() + 0.03, bcast.guarantee_ratio());
+}
+
+// --------------------------------------------------- flood tie order pin --
+//
+// A 3×3 grid with integer link delays (1 across a row, 2 down a column)
+// and an integer broadcast period makes every flood-delivery instant an
+// exact double, so crashes, recoveries and arrivals can be scripted to land
+// exactly on one. The (time, seq) order then decides what each reader
+// sees: crash/recover events (scheduled first) and arrivals (scheduled
+// before any flood is sent) run before a flood copy landing at the same
+// instant. The digest pins the RunMetrics these tie rules produce; it was
+// recorded when every flood copy was still a simulated delivery event, so
+// the lazily read surplus table must reproduce that event order exactly.
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(Broadcast, FloodTieOrderIsPinned) {
+  constexpr std::size_t kSide = 3;
+  Topology topo;
+  for (std::size_t i = 0; i < kSide * kSide; ++i) topo.add_site();
+  for (SiteId r = 0; r < kSide; ++r) {
+    for (SiteId c = 0; c < kSide; ++c) {
+      const SiteId s = r * kSide + c;
+      if (c + 1 < kSide) topo.add_link(s, s + 1, 1.0);
+      if (r + 1 < kSide) topo.add_link(s, s + kSide, 2.0);
+    }
+  }
+
+  // An overloaded workload, releases floored to integer instants so they
+  // coincide with flood deliveries.
+  WorkloadConfig wl;
+  wl.arrival_rate_per_site = 0.1;
+  wl.horizon = 100.0;
+  wl.laxity_min = 1.3;
+  wl.laxity_max = 3.5;
+  wl.seed = 13;
+  std::vector<JobArrival> arrivals;
+  for (const auto& a : generate_workload(topo.site_count(), wl)) {
+    auto job = std::make_shared<Job>(*a.job);
+    job->release = std::floor(a.job->release);
+    job->deadline = job->release + a.job->window();
+    arrivals.push_back({a.site, job});
+  }
+  // Hand-placed arrivals: at crash instants (12 at the crashing site 4 and
+  // at site 1, where a flood from site 4 lands; 30 at site 0), at recovery
+  // instants where floods land (21 at site 4, 47 at site 0, 60 at site 8),
+  // just after them, before the next floods from the same sources land
+  // (so the copies landing at the recovery instant are what is read), at
+  // plain delivery instants, and the last arrival at 100, which closes the
+  // flooding window on a tick.
+  const std::vector<std::pair<SiteId, Time>> hand = {
+      {4, 12.0}, {1, 12.0}, {4, 21.0}, {4, 23.0}, {0, 30.0}, {2, 33.0},
+      {6, 44.0}, {0, 47.0}, {0, 49.0}, {8, 60.0}, {8, 62.0}, {5, 71.0},
+      {7, 100.0}};
+  const std::size_t generated = arrivals.size();
+  for (std::size_t i = 0; i < hand.size(); ++i) {
+    const auto [site, at] = hand[i];
+    auto job = std::make_shared<Job>(*arrivals[i * 7 % generated].job);
+    job->id = 1000 + i;
+    job->deadline = at + job->window();
+    job->release = at;
+    arrivals.push_back({site, job});
+  }
+
+  BroadcastConfig cfg;
+  cfg.broadcast_period = 5.0;
+  using fault::FaultEvent;
+  using fault::FaultKind;
+  cfg.faults.events = {
+      // Site 4 dies as floods from sites 1 and 7 (sent at 10, 2 away) land
+      // on it, and comes back as floods from sites 3 and 5 (sent at 20, 1
+      // away) land.
+      FaultEvent{12.0, FaultKind::kSiteDown, 4},
+      FaultEvent{21.0, FaultKind::kSiteUp, 4},
+      // Site 0 dies on its own tick and comes back as floods from sites 2
+      // and 3 (sent at 45, 2 away) land.
+      FaultEvent{30.0, FaultKind::kSiteDown, 0},
+      FaultEvent{47.0, FaultKind::kSiteUp, 0},
+      // Site 8 dies as the flood from site 5 (sent at 50, 2 away) lands
+      // and comes back on its own tick.
+      FaultEvent{52.0, FaultKind::kSiteDown, 8},
+      FaultEvent{60.0, FaultKind::kSiteUp, 8},
+  };
+  cfg.faults.validate(topo);
+
+  const RunMetrics m = run_broadcast(topo, arrivals, cfg);
+  EXPECT_EQ(m.arrived, arrivals.size());
+  EXPECT_EQ(m.arrived, m.accepted() + m.rejected);
+  EXPECT_GT(m.accepted_remote, 0u);
+
+  // Closed form. Ticks at 0, 5, ..., 100: 21 per site, 189 in all, less
+  // the ticks a dead site skips — site 4 at 15 and 20, site 0 at 30..45,
+  // site 8 at 55 (a crash or recovery at a tick runs before it).
+  // Shortest-delay routes are monotone, so hops are Manhattan distances:
+  // 144 link messages per full round, 12 per flood from the centre, 18
+  // per flood from a corner.
+  const auto& flood = m.transport.by_category.at(21);
+  EXPECT_EQ(flood.sends, (189u - 7u) * 8u);
+  EXPECT_EQ(flood.link_messages, 21u * 144u - 2u * 12u - 4u * 18u - 18u);
+
+  std::ostringstream os;
+  m.to_jsonl(os);
+  EXPECT_EQ(fnv1a(os.str()), 6419653840732274883ull) << os.str();
 }
 
 TEST(Comparison, ExpectedDominanceOrdering) {
