@@ -113,23 +113,14 @@ class SiteStream {
 
   /// Checkpoint capture: the RNG words and process-phase state (spec_,
   /// site_ and the resolved curve_ are reconstructed, never stored).
-  void save_state(snap::Writer& w) const {
-    snap::Access::save(w, rng_);
-    w.f64(t_);
-    w.b(in_burst_);
-    w.f64(phase_left_);
-    w.u64(seg_);
-    w.f64(seg_left_);
-  }
-  void load_state(snap::Reader& r) {
-    snap::Access::load(r, rng_);
-    t_ = r.f64();
-    in_burst_ = r.b();
-    phase_left_ = r.f64();
-    seg_ = static_cast<std::size_t>(r.u64());
-    seg_left_ = r.f64();
-    if (!curve_.empty() && seg_ >= curve_.size())
-      r.fail("diurnal segment index outside the resolved curve");
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& s) {
+    snap::fields(ar, s.rng_, s.t_, s.in_burst_, s.phase_left_, s.seg_,
+                 s.seg_left_);
+    if constexpr (snap::kLoading<Ar>) {
+      if (!s.curve_.empty() && s.seg_ >= s.curve_.size())
+        ar.fail("diurnal segment index outside the resolved curve");
+    }
   }
 
   /// Generates the next arrival (id 0 — the merger assigns ids in emission
@@ -246,34 +237,8 @@ class GeneratedSource final : public ArrivalSource {
   /// legally produce a different-but-equivalent layout whose later pop/push
   /// sequence diverges. Restoring the exact array keeps the resumed
   /// emission order bit-identical to the uninterrupted stream.
-  void save_state(snap::Writer& w) const override {
-    w.u64(emitted_);
-    w.u64(streams_.size());
-    for (const auto& s : streams_) s.save_state(w);
-    w.u64(heap_.size());
-    snap::SaveContext ctx;
-    for (const auto& p : heap_) {
-      w.u32(p.site);
-      w.u32(p.arrival.site);
-      snap::Access::save_job(w, ctx, p.arrival.job);
-    }
-  }
-  void load_state(snap::Reader& r) override {
-    emitted_ = r.u64();
-    if (r.u64() != streams_.size())
-      r.fail("generated source spans a different site count than this spec");
-    for (auto& s : streams_) s.load_state(r);
-    const std::uint64_t n = r.u64();
-    if (n != heap_.size())
-      r.fail("generated source heap size does not match this spec");
-    snap::LoadContext ctx;
-    for (auto& p : heap_) {
-      p.site = r.u32();
-      p.arrival.site = r.u32();
-      p.arrival.job = snap::Access::load_job(r, ctx);
-      if (p.arrival.job == nullptr) r.fail("pending arrival without a job");
-    }
-  }
+  void save_state(snap::Writer& w) const override { io(w, *this); }
+  void load_state(snap::Reader& r) override { io(r, *this); }
 
  private:
   struct Pending {
@@ -288,6 +253,24 @@ class GeneratedSource final : public ArrivalSource {
       return a.site > b.site;
     }
   };
+
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& self) {
+    snap::field(ar, self.emitted_);
+    snap::agreed(
+        ar, self.streams_.size(),
+        "generated source spans a different site count than this spec");
+    for (auto& stream : self.streams_) SiteStream::io(ar, stream);
+    snap::agreed(ar, self.heap_.size(),
+                 "generated source heap size does not match this spec");
+    snap::Context<Ar> ctx;
+    for (auto& p : self.heap_) {
+      snap::fields(ar, p.site, p.arrival.site, snap::in(ctx, p.arrival.job));
+      if constexpr (snap::kLoading<Ar>) {
+        if (p.arrival.job == nullptr) ar.fail("pending arrival without a job");
+      }
+    }
+  }
 
   ArrivalSpec spec_;  // owned copy: streams reference its workload/curve
   std::vector<SiteStream> streams_;
@@ -317,18 +300,21 @@ class TraceSource final : public ArrivalSource {
   }
 
   /// The trace itself is static configuration; only the cursor is live.
-  void save_state(snap::Writer& w) const override {
-    w.u64(trace_.size());
-    w.u64(pos_);
-  }
-  void load_state(snap::Reader& r) override {
-    if (r.u64() != trace_.size())
-      r.fail("trace source length does not match this spec");
-    pos_ = static_cast<std::size_t>(r.u64());
-    if (pos_ > trace_.size()) r.fail("trace cursor beyond the trace");
-  }
+  void save_state(snap::Writer& w) const override { io(w, *this); }
+  void load_state(snap::Reader& r) override { io(r, *this); }
 
  private:
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& self) {
+    snap::agreed(ar, self.trace_.size(),
+                 "trace source length does not match this spec");
+    snap::field(ar, self.pos_);
+    if constexpr (snap::kLoading<Ar>) {
+      if (self.pos_ > self.trace_.size())
+        ar.fail("trace cursor beyond the trace");
+    }
+  }
+
   std::vector<JobArrival> trace_;
   std::size_t site_count_;
   std::size_t pos_ = 0;

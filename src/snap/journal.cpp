@@ -26,16 +26,22 @@ std::string header_bytes(std::uint64_t sweep_hash) {
   return all;
 }
 
+/// One "trial" section body: trial index, metric values, and the trial's
+/// obs buffer behind a presence flag.
+template <class Ar>
+void trial_io(Ar& ar, Ref<Ar, std::uint64_t> trial,
+              Ref<Ar, std::vector<double>> values, Ref<Ar, bool> has_metrics,
+              std::remove_reference_t<Ref<Ar, obs::MetricsBuffer>>* metrics) {
+  fields(ar, trial, values, has_metrics);
+  if (has_metrics) field(ar, *metrics);
+}
+
 std::string encode_section(std::uint64_t sweep_hash, std::uint64_t trial,
                            const std::vector<double>& values,
                            const obs::MetricsBuffer* metrics) {
   Writer w(kFormatVersion, sweep_hash);
   w.begin_section("trial");
-  w.u64(trial);
-  w.u64(values.size());
-  for (const double v : values) w.f64(v);
-  w.b(metrics != nullptr);
-  if (metrics != nullptr) Access::save(w, *metrics);
+  trial_io(w, trial, values, metrics != nullptr, metrics);
   w.end_section();
   const std::string& all = w.finish();
   return all.substr(kHeaderSize, all.size() - kHeaderSize - 1);
@@ -72,12 +78,7 @@ std::unique_ptr<SweepJournal> SweepJournal::resume(
     if (status != SectionStatus::kOk) break;
     if (name != "trial") r.fail("unexpected journal section \"" + name + "\"");
     JournalEntry e;
-    e.trial = r.u64();
-    const std::uint64_t count = r.u64();
-    e.values.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) e.values.push_back(r.f64());
-    e.has_metrics = r.b();
-    if (e.has_metrics) Access::load(r, e.metrics);
+    trial_io(r, e.trial, e.values, e.has_metrics, &e.metrics);
     r.end_section();
     entries.push_back(std::move(e));
   }

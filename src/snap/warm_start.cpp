@@ -59,21 +59,7 @@ bool warm_start_acquire(const Topology& topo, std::size_t h,
   Reader r(std::move(bytes), "warm-start cache entry");
   r.require_config_hash(key.first);
   r.expect_section("bring_up");
-  const std::uint64_t n = r.u64();
-  tables.clear();
-  tables.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    RoutingTable t;
-    Access::load(r, t);
-    tables.push_back(std::move(t));
-  }
-  spheres.clear();
-  spheres.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    Pcs p;
-    Access::load(r, p);
-    spheres.push_back(std::move(p));
-  }
+  fields(r, tables, spheres);
   r.end_section();
   return true;
 }
@@ -84,9 +70,7 @@ void warm_start_store(const Topology& topo, std::size_t h,
   const auto key = std::make_pair(Access::topology_hash(topo), h);
   Writer w(kFormatVersion, key.first);
   w.begin_section("bring_up");
-  w.u64(tables.size());
-  for (const RoutingTable& t : tables) Access::save(w, t);
-  for (const Pcs& p : spheres) Access::save(w, p);
+  fields(w, tables, spheres);
   w.end_section();
   std::string bytes = w.finish();
 

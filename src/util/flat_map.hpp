@@ -28,6 +28,8 @@ namespace rtds {
 template <typename Key, typename Value>
 class FlatMap {
  public:
+  using key_type = Key;
+
   FlatMap() = default;
 
   std::size_t size() const { return size_; }

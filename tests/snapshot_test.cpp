@@ -22,10 +22,12 @@
 //      collector) round-trip through the engine's checkpoint path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -456,6 +458,272 @@ TEST(SnapshotNegative, LoadIntoUsedSystemThrows) {
   used.start(cc.condition.arrivals);
   drain(used);
   EXPECT_THROW(Snapshot::load(good, used), ContractViolation);
+}
+
+std::uint64_t read_u64(const std::string& bytes, std::size_t off) {
+  std::uint64_t v = 0;
+  for (int i = 7; i >= 0; --i)
+    v = (v << 8) | static_cast<unsigned char>(bytes[off + i]);
+  return v;
+}
+
+/// One section of a serialized container, located by name.
+struct SectionSpan {
+  std::string name;
+  std::size_t body = 0;    ///< offset of the first body byte
+  std::size_t size = 0;    ///< body length
+};
+
+/// Walks the container layout of snap/io.hpp: 20-byte header, then
+/// (u8 name length, name, u64 body length, u64 checksum, body) sections.
+std::vector<SectionSpan> sections_of(const std::string& bytes) {
+  std::vector<SectionSpan> out;
+  std::size_t pos = 8 + 4 + 8;
+  while (pos < bytes.size() && bytes[pos] != '\0') {
+    SectionSpan s;
+    const auto len = static_cast<unsigned char>(bytes[pos]);
+    s.name = bytes.substr(pos + 1, len);
+    s.size = static_cast<std::size_t>(read_u64(bytes, pos + 1 + len));
+    s.body = pos + 1 + len + 16;
+    out.push_back(s);
+    pos = s.body + s.size;
+  }
+  return out;
+}
+
+const SectionSpan& section_named(const std::vector<SectionSpan>& all,
+                                 const std::string& name) {
+  for (const SectionSpan& s : all)
+    if (s.name == name) return s;
+  throw std::runtime_error("no section " + name);
+}
+
+void write_u64(std::string& bytes, std::size_t off, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i)
+    bytes[off + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+/// Recomputes a section's checksum after its body was patched, so the
+/// damage reaches the field decoder instead of the checksum guard.
+void reseal(std::string& bytes, const SectionSpan& s) {
+  write_u64(bytes, s.body - 8,
+            snap::section_checksum(bytes.data() + s.body, s.size));
+}
+
+// A count field whose section checksum is consistent but whose value is
+// huge must fail as a located ContractViolation before anything is
+// allocated — never as std::bad_alloc (or an ASan allocation abort).
+TEST(SnapshotNegative, OversizedCountWithValidChecksumThrows) {
+  const ChaosCase cc = make_chaos_case(11, "ideal");
+  const std::string good = valid_snapshot(cc);
+  const auto all = sections_of(good);
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
+
+  // checker: presence flag, f64 last event time, u64 submitted, u64
+  // violations, then the decided-set count.
+  {
+    const SectionSpan& s = section_named(all, "checker");
+    ASSERT_EQ(good[s.body], 1);
+    std::string bad = good;
+    write_u64(bad, s.body + 25, kHuge);
+    reseal(bad, s);
+    expect_load_violation(cc, std::move(bad), "oversized decided count");
+  }
+  // nodes: node count, then node 0's alive/epoch/lock_seq/lease/
+  // start_pending, its optional lock and endorsement, then its queue count.
+  {
+    const SectionSpan& s = section_named(all, "nodes");
+    std::size_t off = s.body + 8 + 1 + 8 + 8 + 8 + 1;
+    if (good[off] != 0) off += 4 + 8;
+    ++off;
+    ASSERT_EQ(good[off], 0) << "node 0 holds an endorsement at this cut";
+    ++off;
+    std::string bad = good;
+    write_u64(bad, off, kHuge);
+    reseal(bad, s);
+    expect_load_violation(cc, std::move(bad), "oversized queue count");
+  }
+  // system: RunMetrics (13 counters, two keyed count maps, four
+  // RunningStats, MessageStats, three counters), then the decision count.
+  {
+    const SectionSpan& s = section_named(all, "system");
+    std::size_t off = s.body + 13 * 8;
+    for (int map = 0; map < 2; ++map) off += 8 + 16 * read_u64(good, off);
+    off += 4 * 48;
+    off += 8 + 20 * read_u64(good, off) + 4 * 8;
+    off += 3 * 8;
+    ASSERT_GT(read_u64(good, off), 0u);
+    std::string bad = good;
+    write_u64(bad, off, kHuge);
+    reseal(bad, s);
+    expect_load_violation(cc, std::move(bad), "oversized decision count");
+  }
+}
+
+// ------------------------------------------------ format stability --
+
+/// Runs the chaos fixture for `events` events under an obs scope and
+/// saves it with the metrics buffer as an extra.
+std::string snapshot_with_metrics(const ChaosCase& cc, std::size_t events) {
+  obs::MetricsBuffer buf;
+  RtdsSystem sys(cc.condition.topo, cc.cfg);
+  {
+    obs::Scope scope(&buf);
+    sys.start(cc.condition.arrivals);
+    sys.step_events(events);
+  }
+  SnapshotExtras extras;
+  extras.metrics = &buf;
+  return Snapshot::save(sys, extras);
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)), {});
+}
+
+/// A serialized obs::MetricsBuffer starting at `pos`, its entries sorted.
+/// Entries travel in the process's metric-interning order, which depends
+/// on what ran earlier in the same process; every other byte is pinned.
+std::string canonical_metrics(const std::string& bytes, std::size_t& pos) {
+  const std::size_t begin = pos;
+  const std::uint64_t n = read_u64(bytes, pos);
+  pos += 8;
+  std::vector<std::string> entries;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::size_t start = pos;
+    pos += 8 + read_u64(bytes, pos);  // name
+    pos += 1 + 4 * 8;                 // kind, count, sum, min, max
+    if (bytes[pos++] != 0) pos += 65 * 8;  // log2 bins
+    entries.push_back(bytes.substr(start, pos - start));
+  }
+  std::sort(entries.begin(), entries.end());
+  std::string out = bytes.substr(begin, 8);
+  for (const std::string& e : entries) out += e;
+  return out;
+}
+
+/// FNV-1a over the container header plus every section's name and body,
+/// with each embedded metrics buffer in canonical entry order. Section
+/// lengths and checksums are functions of the bodies.
+std::uint64_t digest(const std::string& bytes) {
+  std::string flat = bytes.substr(0, 8 + 4 + 8);
+  for (const SectionSpan& s : sections_of(bytes)) {
+    std::string body = bytes.substr(s.body, s.size);
+    std::size_t metrics_at = std::string::npos;
+    if (s.name == "obs" && body[0] != 0) metrics_at = 1;
+    if (s.name == "trial") {
+      const std::size_t flag = 16 + 8 * read_u64(body, 8);
+      if (body[flag] != 0) metrics_at = flag + 1;
+    }
+    if (metrics_at != std::string::npos) {
+      std::size_t pos = metrics_at;
+      const std::string canonical = canonical_metrics(body, pos);
+      body = body.substr(0, metrics_at) + canonical + body.substr(pos);
+    }
+    flat += s.name + body;
+  }
+  return snap::fnv1a(flat.data(), flat.size());
+}
+
+// The on-disk layout is a compatibility promise (kFormatVersion 2): these
+// digests were recorded before the serializers were rewritten as one
+// symmetric io() per type, and any byte that moves must come with a
+// version bump. The obs-off build records no metrics, so its files differ.
+// The digest covers every header and body byte; only the order of the
+// entries inside a metrics buffer is canonicalized (see digest()).
+TEST(SnapshotFormat, BytesArePinned) {
+#if RTDS_OBS_ENABLED
+  constexpr std::uint64_t kIdeal = 14572825045144839119ull;
+  constexpr std::uint64_t kContended = 1591894485738632797ull;
+  constexpr std::uint64_t kOpen = 869868903705093186ull;
+  constexpr std::uint64_t kJournal = 14422521497242031276ull;
+#else
+  constexpr std::uint64_t kIdeal = 16667587439404011837ull;
+  constexpr std::uint64_t kContended = 11510605678612529138ull;
+  constexpr std::uint64_t kOpen = 869868903705093186ull;
+  constexpr std::uint64_t kJournal = 7642331713864820856ull;
+#endif
+  EXPECT_EQ(snap::kFormatVersion, 2u);
+  EXPECT_EQ(digest(snapshot_with_metrics(make_chaos_case(11, "ideal"), 400)),
+            kIdeal);
+  EXPECT_EQ(
+      digest(snapshot_with_metrics(make_chaos_case(11, "contended"), 400)),
+      kContended);
+
+  // The open-system checkpoint carries the collector and source extras.
+  exp::ConditionSpec cs;
+  cs.sites = 16;
+  cs.rate = 0.05;
+  cs.seed = 9;
+  const Topology topo = exp::make_topology(cs);
+  const auto policy = policy::PolicyRegistry::instance().create("rtds");
+  const policy::ParamMap params = policy->parse_params(
+      {"faults.drop=0.01", "faults.retransmit=true", "faults.seed=9"});
+  load::ArrivalSpec aspec;
+  aspec.kind = load::ArrivalKind::kBursty;
+  aspec.site_count = topo.site_count();
+  aspec.workload = exp::workload_config(cs);
+  load::OpenConfig ocfg;
+  ocfg.duration = 150.0;
+  ocfg.window.warmup = 20.0;
+  ocfg.window.width = 10.0;
+  ocfg.checkpoint_path = ::testing::TempDir() + "snapshot_test_pinned.snap";
+  ocfg.checkpoint_every = 500;
+  const auto source = load::make_arrival_source(aspec);
+  load::run_open_rtds(topo, *source, ocfg, params);
+  EXPECT_EQ(digest(file_bytes(ocfg.checkpoint_path)), kOpen);
+
+  // A serial observed sweep appends its trials in index order.
+  exp::RunObservation observation;
+  observation.record_traces = false;
+  exp::RunOptions opts;
+  opts.observe = &observation;
+  opts.journal_path = ::testing::TempDir() + "snapshot_test_pinned.journal";
+  exp::run_scenario(tiny_e1(), opts);
+  EXPECT_EQ(digest(file_bytes(opts.journal_path)), kJournal);
+}
+
+// Save -> load into a fresh system -> save must reproduce every byte: a
+// field the loader skips, reorders or re-derives differently shows up
+// here even when the resumed run happens to converge. Only the clock's
+// next_seq may move, because re-posting the pending events draws fresh
+// sequence numbers (which preserves their order, not their values).
+TEST(SnapshotRoundTrip, ResaveIsByteIdentical) {
+  const std::vector<std::tuple<std::uint64_t, const char*>> cases = {
+      {1, "ideal"}, {2, "ideal"}, {3, "contended"}, {7, "contended"}};
+  for (const auto& [seed, transport] : cases) {
+    const ChaosCase cc = make_chaos_case(seed, transport);
+    for (const std::size_t cut : {1, 150, 600, 1500, 2500, 4000}) {
+      SCOPED_TRACE(std::string(transport) + " seed " + std::to_string(seed) +
+                   " cut " + std::to_string(cut));
+      const std::string first = snapshot_with_metrics(cc, cut);
+      obs::MetricsBuffer buf;
+      RtdsSystem resumed(cc.condition.topo, cc.cfg);
+      SnapshotExtras extras;
+      extras.metrics = &buf;
+      Snapshot::load(first, resumed, extras);
+      const std::string second = Snapshot::save(resumed, extras);
+
+      const auto a = sections_of(first);
+      const auto b = sections_of(second);
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(a[i].name, b[i].name);
+        const std::string body_a = first.substr(a[i].body, a[i].size);
+        const std::string body_b = second.substr(b[i].body, b[i].size);
+        if (a[i].name != "clock") {
+          EXPECT_EQ(body_a, body_b) << "section " << a[i].name << " moved";
+          continue;
+        }
+        ASSERT_EQ(a[i].size, 24u);
+        ASSERT_EQ(b[i].size, 24u);
+        EXPECT_EQ(body_a.substr(0, 8), body_b.substr(0, 8)) << "clock now";
+        EXPECT_GE(read_u64(body_b, 8), read_u64(body_a, 8)) << "next_seq";
+        EXPECT_EQ(body_a.substr(16), body_b.substr(16)) << "executed";
+      }
+    }
+  }
 }
 
 // --------------------------------------- (e) open-system checkpointing --
