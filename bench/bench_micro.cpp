@@ -132,6 +132,33 @@ void BM_LargeTopoRepairLinkFlap(benchmark::State& state) {
 }
 BENCHMARK(BM_LargeTopoRepairLinkFlap)->Arg(16)->Arg(32);
 
+void BM_LargeTopoRepairSiteCrash(benchmark::State& state) {
+  // One crash + recovery of a central site against prebuilt tables — the
+  // dominant repair of a chaos run (site events outnumber partitions ~25:1
+  // in chaos_144). Timed per repair.
+  Rng rng(13);
+  const auto side = static_cast<std::size_t>(state.range(0));
+  const Topology topo = make_grid(side, side, DelayRange{0.5, 2.0}, rng);
+  const SiteId x = static_cast<SiteId>(side * (side / 2) + side / 2);
+  fault::FaultPlan plan;
+  plan.events = {fault::FaultEvent{1.0, fault::FaultKind::kSiteDown, x, kNoSite},
+                 fault::FaultEvent{2.0, fault::FaultKind::kSiteUp, x, kNoSite}};
+  fault::FaultState faults(topo, plan);
+  auto tables = phased_apsp(topo, 4);
+  ApspRepairer repairer(topo, 4);  // reused across events, as RtdsSystem does
+  const SiteId changed[1] = {x};
+  for (auto _ : state) {
+    faults.apply(plan.events[0]);
+    repairer.repair(tables, &faults, changed);
+    faults.apply(plan.events[1]);
+    repairer.repair(tables, &faults, changed);
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()) * 2);  // repairs
+  state.SetLabel(std::to_string(side * side) +
+                 " sites, per crash+recover=2 repairs");
+}
+BENCHMARK(BM_LargeTopoRepairSiteCrash)->Arg(16)->Arg(32);
+
 void BM_InvariantCheckerRepair(benchmark::State& state) {
   // The same link flap on a 12x12 grid with the §12 checker auditing every
   // repair, as in a checked chaos run: one long-lived checker, so after its

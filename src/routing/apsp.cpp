@@ -29,9 +29,7 @@ struct ApspScratch {
         hops(topo.site_count()),
         via(topo.site_count()),
         seen(topo.site_count(), 0),
-        chg_stamp(topo.site_count(), 0),
-        ball_stamp(topo.site_count(), 0),
-        dirty_stamp(topo.site_count(), 0) {
+        chg_stamp(topo.site_count(), 0) {
     rebuild_live(topo, faults);
   }
 
@@ -80,12 +78,19 @@ struct ApspScratch {
   std::vector<SiteId> via;
   std::vector<std::uint64_t> seen;       ///< == tag: line exists this dest
   std::vector<std::uint64_t> chg_stamp;  ///< == tag+p: changed this phase
-  std::vector<std::uint64_t> ball_stamp; ///< static-ball BFS dedup (repair)
-  std::vector<std::uint64_t> dirty_stamp;///< dirty-set membership (repair)
   std::vector<Src> cur;
   std::vector<SiteId> changed;  ///< sites improved during the current phase
   std::vector<SiteId> reached;  ///< sites with a line, first-reach order
   std::uint64_t version = 0;
+};
+
+/// Hop levels for the repair's pruned relaxation: `level[s]` is s's static
+/// hop distance from the changed set, and a site the relaxation may offer
+/// to at phase p is skipped when `level[s] + p > budget` (DESIGN.md §10).
+struct PruneBudget {
+  const std::uint32_t* level = nullptr;
+  std::uint32_t budget = 0;
+  bool skip(SiteId s, std::size_t p) const { return level[s] + p > budget; }
 };
 
 /// Runs the §7.2 phase recurrence for one destination `d` over the live
@@ -96,8 +101,16 @@ struct ApspScratch {
 /// the same per-destination minimum as the merge loop; offers the merge
 /// loop would re-send for lines that did not change are dropped — a
 /// re-offer can never win the strict test.
-std::uint64_t relax_dest(SiteId d, std::size_t phases,
-                         const fault::FaultState* faults, ApspScratch& sc) {
+///
+/// kPruned (the repair path) also drops offers the budget rules out. Lines
+/// outside the budget are then left unset, but every line inside it is
+/// exact. The build instantiates the unpruned loop and pays nothing. Out
+/// of line: inlined into phased_apsp's destination sweep it ran no faster.
+template <bool kPruned>
+[[gnu::noinline]] std::uint64_t relax_dest(SiteId d, std::size_t phases,
+                                           const fault::FaultState* faults,
+                                           ApspScratch& sc,
+                                           PruneBudget prune = {}) {
   sc.reached.clear();
   sc.cur.clear();
   const std::uint64_t tag = sc.version + 1;
@@ -118,6 +131,8 @@ std::uint64_t relax_dest(SiteId d, std::size_t phases,
   sc.cur.push_back({d, 0.0, 0});
   for (std::uint32_t e = sc.adj_off[d]; e < sc.adj_off[d + 1]; ++e) {
     const SiteId nb = sc.adj_site[e];
+    if constexpr (kPruned)
+      if (prune.skip(nb, 0)) continue;
     sc.seen[nb] = tag;
     sc.dist[nb] = sc.adj_delay[e];
     sc.hops[nb] = 1;
@@ -138,6 +153,8 @@ std::uint64_t relax_dest(SiteId d, std::size_t phases,
       for (std::uint32_t e = sc.adj_off[src.site]; e < end; ++e) {
         const SiteId s = sc.adj_site[e];
         if (s == d) continue;
+        if constexpr (kPruned)
+          if (prune.skip(s, p)) continue;
         const Time cand_dist = sc.adj_delay[e] + src.dist;
         const std::uint32_t cand_hops = src.hops + 1;
         if (sc.seen[s] == tag) {
@@ -172,9 +189,9 @@ std::uint64_t relax_dest(SiteId d, std::size_t phases,
 }
 
 /// Static CSR adjacency (no delays, no fault filtering) for the repair
-/// path's hop-ball sweeps: the static ball over-approximates every live
-/// ball (faults only remove links), which is what makes it a safe
-/// dirtying rule.
+/// path's levelled BFS: static hop distances lower-bound every live one
+/// (faults only remove links), which is what makes them a safe dirtying
+/// rule.
 struct StaticCsr {
   explicit StaticCsr(const Topology& topo) {
     const auto n = topo.site_count();
@@ -195,33 +212,6 @@ struct StaticCsr {
   std::vector<std::uint32_t> off;
   std::vector<SiteId> site;
 };
-
-/// Multi-source BFS over the static topology up to `depth` hops. Appends
-/// the visited sites to `out` in BFS order.
-void static_ball(const StaticCsr& csr, std::span<const SiteId> sources,
-                 std::size_t depth, ApspScratch& sc, std::vector<SiteId>& out) {
-  const std::uint64_t tag = ++sc.version;
-  out.clear();
-  for (const SiteId s : sources) {
-    if (sc.ball_stamp[s] == tag) continue;
-    sc.ball_stamp[s] = tag;
-    out.push_back(s);
-  }
-  std::size_t head = 0;
-  std::size_t level_end = out.size();
-  for (std::size_t level = 0; level < depth && head < out.size(); ++level) {
-    for (; head < level_end; ++head) {
-      const SiteId at = out[head];
-      for (std::uint32_t e = csr.off[at]; e < csr.off[at + 1]; ++e) {
-        const SiteId nb = csr.site[e];
-        if (sc.ball_stamp[nb] == tag) continue;
-        sc.ball_stamp[nb] = tag;
-        out.push_back(nb);
-      }
-    }
-    level_end = out.size();
-  }
-}
 
 }  // namespace
 
@@ -263,7 +253,7 @@ std::vector<RoutingTable> phased_apsp(const Topology& topo,
   RTDS_COUNT_N("apsp.build.destinations", n);
   ApspScratch sc(topo, faults);
   for (SiteId d = 0; d < n; ++d) {
-    relax_dest(d, phases, faults, sc);
+    relax_dest<false>(d, phases, faults, sc);
     RTDS_HIST("apsp.build.ball", sc.reached.size());
     for (const SiteId s : sc.reached)
       tables[s].append_line(d, RouteLine{sc.dist[s], sc.via[s], sc.hops[s]});
@@ -272,16 +262,51 @@ std::vector<RoutingTable> phased_apsp(const Topology& topo,
 }
 
 struct ApspRepairer::Impl {
+  /// Level of a site past the levelled BFS's depth.
+  static constexpr std::uint32_t kFar = 1u << 30;
+
   Impl(const Topology& t, std::size_t p)
-      : topo(t), phases(p), sc(t, nullptr), csr(t) {}
+      : topo(t), phases(p), sc(t, nullptr), csr(t),
+        level(t.site_count(), kFar) {}
+
+  /// Multi-source BFS over the static topology from `changed`, `depth`
+  /// levels deep: fills `level` (kFar beyond the depth), `order` (visited
+  /// sites by ascending level) and `level_end` (level_end[k] = number of
+  /// sites at level ≤ k, for every k ≤ depth).
+  void level_sites(std::span<const SiteId> changed, std::size_t depth) {
+    for (const SiteId s : order) level[s] = kFar;
+    order.clear();
+    for (const SiteId s : changed) {
+      if (level[s] == 0) continue;  // a partition repeats shared endpoints
+      level[s] = 0;
+      order.push_back(s);
+    }
+    level_end.resize(depth + 1);
+    level_end[0] = static_cast<std::uint32_t>(order.size());
+    std::size_t head = 0;
+    for (std::uint32_t k = 1; k <= depth; ++k) {
+      for (const std::size_t end = order.size(); head < end; ++head) {
+        const SiteId at = order[head];
+        for (std::uint32_t e = csr.off[at]; e < csr.off[at + 1]; ++e) {
+          const SiteId nb = csr.site[e];
+          if (level[nb] != kFar) continue;
+          level[nb] = k;
+          order.push_back(nb);
+        }
+      }
+      level_end[k] = static_cast<std::uint32_t>(order.size());
+    }
+  }
 
   const Topology& topo;
   const std::size_t phases;
   ApspScratch sc;
   const StaticCsr csr;  ///< static adjacency: a property of the topology
   // Per-repair buffers, reused across events.
+  std::vector<std::uint32_t> level;  ///< static hops from the change
+  std::vector<SiteId> order;         ///< levelled BFS order
+  std::vector<std::uint32_t> level_end;
   std::vector<SiteId> dirty;
-  std::vector<SiteId> holders;
   struct Update {
     SiteId site;
     RoutingTable::DestLine dl;
@@ -309,39 +334,48 @@ void ApspRepairer::repair(std::vector<RoutingTable>& tables,
   ApspScratch& sc = im.sc;
   sc.rebuild_live(im.topo, faults);
 
-  // Dirtying rule (DESIGN.md §10). A line (s → d) changes only if some
-  // ≤(phases+1)-hop path from s to d runs through the changed element:
-  //  * flapped link (a, b): the path's sub-path from a (or b) to d spans
-  //    at most `phases` hops, so d lies within `phases` static hops of an
-  //    endpoint — and symmetrically for s;
-  //  * crashed/recovered site x: x's *own* table spans phases+1 hops, so
-  //    destinations up to phases+1 hops away are dirty.
-  // Callers pass both endpoints for a link change and the single site for
-  // a site change, which is how the two radii are told apart.
-  std::size_t dirty_radius = changed.size() == 1 ? phases + 1 : phases;
-  if (fault::injected_bug() == fault::InjectedBug::kRepairRadiusOffByOne)
-    --dirty_radius;  // mutation-test target: under-dirty by one ring
-  static_ball(im.csr, changed, dirty_radius, sc, im.dirty);
+  // Pairwise dirtying rule (DESIGN.md §10). After `phases` phases a line
+  // (s → d) is a function of the ≤(phases+1)-hop walks from s to d, so it
+  // can change only if one of them runs through the change. With lvl(x)
+  // the static hop distance from x to the changed set:
+  //  * crashed/recovered site c: a walk s → … → c → … → d spans at least
+  //    lvl(s) + lvl(d) hops;
+  //  * flapped link (a, b), or every cut link of a partition (both
+  //    endpoints in the changed set): s → … → a – b → … → d spans at least
+  //    lvl(s) + 1 + lvl(d) hops;
+  // so only lines with lvl(s) + lvl(d) ≤ R can change: R = phases + 1 for
+  // a single site (callers pass it alone), R = phases for link endpoints.
+  // The dirty destinations are the sites with lvl ≤ R.
+  std::size_t radius = changed.size() == 1 ? phases + 1 : phases;
+  if (fault::injected_bug() == fault::InjectedBug::kRepairRadiusOffByOne &&
+      radius > 0)
+    --radius;  // mutation-test target: under-dirty by one ring
+  // Levels run `phases` past R: beyond that every site fails every
+  // destination's pruning budget below, so kFar serves as its level.
+  im.level_sites(changed, radius + phases);
+  im.dirty.assign(im.order.begin(), im.order.begin() + im.level_end[radius]);
   std::sort(im.dirty.begin(), im.dirty.end());
   RTDS_COUNT("apsp.repair.calls");
   RTDS_COUNT_N("apsp.repair.dirty_destinations", im.dirty.size());
   RTDS_HIST("apsp.repair.scope", im.dirty.size());
-  const std::uint64_t dirty_tag = ++sc.version;
-  for (const SiteId s : im.dirty) sc.dirty_stamp[s] = dirty_tag;
 
   // Batch every line update (dest-major, so each site's batch comes out
   // sorted by destination) and apply them per table in one merge pass —
   // scattered per-line searches and insertions would dominate otherwise.
   im.updates.clear();
   for (const SiteId d : im.dirty) {
-    const std::uint64_t tag = relax_dest(d, phases, faults, sc);
-    // Every site whose line for d may change sits inside d's static
-    // (phases+1)-hop ball *and* the dirty ball around the change; visit
-    // them all so stale lines are withdrawn, not just overwritten.
-    const SiteId src[1] = {d};
-    static_ball(im.csr, src, phases + 1, sc, im.holders);
-    for (const SiteId s : im.holders) {
-      if (sc.dirty_stamp[s] != dirty_tag) continue;
+    // Candidate holders are the sites with lvl ≤ slack, the BFS-order
+    // prefix up to level_end[slack]; each gets its new line or a
+    // withdrawal. A phase-p line travels phases − p more hops, so only a
+    // site with lvl + p ≤ slack + phases can still reach a holder.
+    const std::uint32_t slack =
+        static_cast<std::uint32_t>(radius) - im.level[d];
+    const std::uint64_t tag = relax_dest<true>(
+        d, phases, faults, sc,
+        {im.level.data(), slack + static_cast<std::uint32_t>(phases)});
+    const std::uint32_t holders = im.level_end[slack];
+    for (std::uint32_t i = 0; i < holders; ++i) {
+      const SiteId s = im.order[i];
       if (sc.seen[s] == tag)
         im.updates.push_back(
             {s, {d, RouteLine{sc.dist[s], sc.via[s], sc.hops[s]}}});

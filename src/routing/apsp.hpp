@@ -49,19 +49,20 @@ std::vector<RoutingTable> phased_apsp(
     const fault::FaultState* faults = nullptr);
 
 /// Incremental §7.2 repair after a topology change (DESIGN.md §10). A
-/// change at `changed` (a crashed/recovered site, or both endpoints of a
-/// flapped link) can only alter routes whose destination lies within a
-/// bounded static hop ball around it — every other (site, destination)
-/// line is a function of unchanged topology. A repair re-runs the
-/// per-destination relaxation for exactly those dirty destinations over
-/// the live topology and installs (or withdraws) the affected lines in
-/// place, leaving the tables bit-identical — route for route — to a
-/// from-scratch phased_apsp(topo, phases, faults).
+/// change at `changed` (a crashed/recovered site, or the endpoints of
+/// flapped links) can only alter a line (s → d) whose static hop levels
+/// from the change satisfy lvl(s) + lvl(d) ≤ R — some ≤(phases+1)-hop
+/// walk from s to d runs through the change; every other line is a
+/// function of unchanged topology. A repair re-runs the per-destination
+/// relaxation, pruned to that budget, for each dirty destination over the
+/// live topology and installs (or withdraws) the affected lines in place,
+/// leaving the tables bit-identical — route for route — to a from-scratch
+/// phased_apsp(topo, phases, faults).
 ///
 /// ApspRepairer is the reusable engine for one (topology, phases) pair:
 /// it owns the static adjacency and the O(sites) relaxation scratch, so a
 /// fault-heavy run pays only the live-adjacency refresh plus the
-/// dirty-ball work per event, with no steady-state allocation churn.
+/// in-budget work per event, with no steady-state allocation churn.
 class ApspRepairer {
  public:
   ApspRepairer(const Topology& topo, std::size_t phases);
@@ -70,8 +71,8 @@ class ApspRepairer {
   ApspRepairer& operator=(const ApspRepairer&) = delete;
 
   /// Repairs `tables` in place after a change at `changed` sites: pass the
-  /// crashed/recovered site alone, or both endpoints of a flapped link
-  /// (the two cases have different dirty radii).
+  /// crashed/recovered site alone, or both endpoints of each flapped link
+  /// (the two cases have different budgets R).
   void repair(std::vector<RoutingTable>& tables,
               const fault::FaultState* faults,
               std::span<const SiteId> changed);

@@ -4,15 +4,17 @@
 //  (a) the sphere-local phased APSP equals the full-table oracle restricted
 //      to ≤(2h+1)-hop paths — on random topologies, and under injected
 //      faults against the masked (live-links-only) topology;
-//  (b) incremental repair after every topology-change event leaves the
-//      tables route-for-route identical to a from-scratch recompute over
-//      the live topology;
+//  (b) incremental repair after every topology-change event (site, link,
+//      partition and heal; h = 1..3; grid corners and edges included)
+//      leaves the tables route-for-route identical to a from-scratch
+//      recompute over the live topology;
 //  (c) the e7_scale sweep is bit-identical for any worker count (golden
 //      digest, serial and 8 workers — recorded from the serial run of this
 //      exact reduced sweep when E7 was introduced).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -142,6 +144,41 @@ void expect_tables_identical(const std::vector<RoutingTable>& a,
   }
 }
 
+/// Replays `plan` against a fresh table set and, after every effective
+/// event, repairs exactly as RtdsSystem does — a site event passes the
+/// site, a link event both endpoints, a partition or heal every endpoint
+/// of the links it flipped — then expects the repaired tables to equal a
+/// from-scratch rebuild over the live topology. One reused repair engine
+/// drives the stateful path; a second table set goes through the one-shot
+/// repair_apsp wrapper so both entry points stay pinned. Counts the
+/// effective events and the partition/heal ones among them.
+void replay_against_full_recompute(const Topology& topo, const FaultPlan& plan,
+                                   std::size_t phases, int& steps,
+                                   int& partition_steps) {
+  const auto n = topo.site_count();
+  FaultState faults(topo, plan);
+  auto tables = phased_apsp(topo, phases);
+  ApspRepairer repairer(topo, phases);
+  auto oneshot_tables = tables;
+  steps = 0;
+  partition_steps = 0;
+  for (const auto& ev : plan.events) {
+    if (!faults.apply(ev)) continue;  // redundant scripted event
+    const SiteId pair[2] = {ev.a, ev.b};
+    std::span<const SiteId> changed(pair, ev.b == kNoSite ? 1 : 2);
+    if (ev.kind == FaultKind::kPartition || ev.kind == FaultKind::kHeal) {
+      changed = faults.partition_changed_sites();
+      ++partition_steps;
+    }
+    repairer.repair(tables, &faults, changed);
+    repair_apsp(oneshot_tables, topo, phases, &faults, changed);
+    const auto full = phased_apsp(topo, phases, &faults);
+    expect_tables_identical(tables, full, n, steps);
+    expect_tables_identical(oneshot_tables, full, n, steps);
+    ++steps;
+  }
+}
+
 TEST(IncrementalRepair, MatchesFullRecomputeAcrossEventSequences) {
   const std::vector<NetShape> shapes = {NetShape::kGrid, NetShape::kErdosRenyi,
                                         NetShape::kSmallWorld};
@@ -149,41 +186,59 @@ TEST(IncrementalRepair, MatchesFullRecomputeAcrossEventSequences) {
   for (const NetShape shape : shapes) {
     Rng rng(seed++);
     const Topology topo = make_net(shape, 36, DelayRange{0.5, 3.0}, rng);
-    const auto n = topo.site_count();
-    SCOPED_TRACE(to_string(shape));
     // A seeded on/off process gives a realistic mix of site and link
-    // events, including re-ups of the same element.
+    // events, including re-ups of the same element, plus partitions whose
+    // heals hand the repair multi-endpoint changed sets.
     fault::FaultSpec spec;
     spec.site_rate = 0.004;
     spec.link_rate = 0.004;
     spec.site_mttr = 60.0;
     spec.link_mttr = 60.0;
+    spec.partition_rate = 0.01;
     spec.horizon = 400.0;
     spec.seed = seed;
     const FaultPlan plan = FaultPlan::from_spec(spec, topo);
     ASSERT_GE(plan.events.size(), 6u) << "spec produced too few events";
-
-    const std::size_t phases = 4;  // h = 2
-    FaultState faults(topo, plan);
-    auto tables = phased_apsp(topo, phases);
-    // One reused repair engine across the whole sequence — the stateful
-    // path RtdsSystem drives. A second table set goes through the
-    // one-shot repair_apsp wrapper so both entry points stay pinned.
-    ApspRepairer repairer(topo, phases);
-    auto oneshot_tables = tables;
-    int step = 0;
-    for (const auto& ev : plan.events) {
-      if (!faults.apply(ev)) continue;  // redundant scripted event
-      const SiteId changed[2] = {ev.a, ev.b};
-      const std::span<const SiteId> span(changed, ev.b == kNoSite ? 1 : 2);
-      repairer.repair(tables, &faults, span);
-      repair_apsp(oneshot_tables, topo, phases, &faults, span);
-      const auto full = phased_apsp(topo, phases, &faults);
-      expect_tables_identical(tables, full, n, step);
-      expect_tables_identical(oneshot_tables, full, n, step);
-      ++step;
+    // The dirtying radius and the relaxation's pruning budget both scale
+    // with the phase count, so h = 1, 2, 3 are all pinned.
+    for (const std::size_t phases : {2u, 4u, 6u}) {
+      SCOPED_TRACE(std::string(to_string(shape)) +
+                   " phases=" + std::to_string(phases));
+      int steps = 0, partition_steps = 0;
+      replay_against_full_recompute(topo, plan, phases, steps,
+                                    partition_steps);
+      EXPECT_GE(steps, 4) << "sequence exercised too few effective events";
+      EXPECT_GE(partition_steps, 2) << "no partition/heal pair exercised";
     }
-    EXPECT_GE(step, 4) << "sequence exercised too few effective events";
+  }
+}
+
+TEST(IncrementalRepair, MatchesFullRecomputeAtGridCornersAndEdges) {
+  // Crashes at corner and edge sites of a 12x12 grid (site = row·12 + col)
+  // truncate the hop rings around the change, and overlapping faults plus
+  // a partition held across crashes and recoveries leave the live
+  // topology far from the static one the dirtying rule reasons over.
+  Rng rng(17);
+  const Topology topo = make_grid(12, 12, DelayRange{0.5, 2.0}, rng);
+  using K = FaultKind;
+  FaultPlan plan;
+  plan.events = {
+      {1.0, K::kSiteDown, 0, kNoSite},    {2.0, K::kSiteDown, 11, kNoSite},
+      {3.0, K::kLinkDown, 132, 133},      {4.0, K::kSiteDown, 6, kNoSite},
+      {5.0, K::kSiteDown, 60, kNoSite},   {6.0, K::kPartition, 72, kNoSite},
+      {7.0, K::kSiteDown, 143, kNoSite},  {8.0, K::kSiteUp, 0, kNoSite},
+      {9.0, K::kSiteDown, 1, kNoSite},    {10.0, K::kHeal, 0, kNoSite},
+      {11.0, K::kSiteUp, 11, kNoSite},    {12.0, K::kLinkUp, 132, 133},
+      {13.0, K::kSiteUp, 6, kNoSite},     {14.0, K::kSiteUp, 143, kNoSite},
+      {15.0, K::kSiteUp, 60, kNoSite},    {16.0, K::kSiteUp, 1, kNoSite},
+      {17.0, K::kSiteDown, 132, kNoSite}, {18.0, K::kSiteUp, 132, kNoSite},
+  };
+  for (const std::size_t phases : {2u, 4u, 6u}) {
+    SCOPED_TRACE("phases=" + std::to_string(phases));
+    int steps = 0, partition_steps = 0;
+    replay_against_full_recompute(topo, plan, phases, steps, partition_steps);
+    EXPECT_EQ(steps, static_cast<int>(plan.events.size()));
+    EXPECT_EQ(partition_steps, 2);
   }
 }
 
