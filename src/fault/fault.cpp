@@ -165,11 +165,10 @@ FaultState::FaultState(const Topology& topo, const FaultPlan& plan)
       perturb_rng_(plan.seed ^ 0x9e3779b97f4a7c15ULL) {}
 
 std::size_t FaultState::link_index(SiteId a, SiteId b) const {
-  RTDS_REQUIRE(a < topo_.site_count());
-  for (const Neighbor& nb : topo_.neighbors(a))
-    if (nb.site == b) return nb.link;
-  RTDS_REQUIRE_MSG(false, "no link " << a << "--" << b << " in the topology");
-  return 0;
+  const Neighbor* nb = topo_.neighbor(a, b);
+  RTDS_REQUIRE_MSG(nb != nullptr,
+                   "no link " << a << "--" << b << " in the topology");
+  return nb->link;
 }
 
 bool FaultState::link_up(SiteId a, SiteId b) const {

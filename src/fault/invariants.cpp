@@ -85,13 +85,7 @@ bool InvariantChecker::check_line(const std::vector<RoutingTable>& tables,
   const SiteId nh = line.next_hop;
   // One walk over the owner's adjacency yields the link's index (hence its
   // liveness, refreshed into shadow_live_ by on_repair) and its delay.
-  const Neighbor* link = nullptr;
-  for (const Neighbor& nb : topo.neighbors(s)) {
-    if (nb.site == nh) {
-      link = &nb;
-      break;
-    }
-  }
+  const Neighbor* link = topo.neighbor(s, nh);
   // A next hop that is no neighbour at all counts as a dead link while
   // either end is down, and is a contract failure otherwise — exactly as
   // FaultState::link_up treats it.

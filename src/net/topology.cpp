@@ -26,19 +26,22 @@ void Topology::add_link(SiteId a, SiteId b, Time delay, double throughput) {
 }
 
 bool Topology::adjacent(SiteId a, SiteId b) const {
-  RTDS_REQUIRE(a < site_count());
   RTDS_REQUIRE(b < site_count());
+  return neighbor(a, b) != nullptr;
+}
+
+const Neighbor* Topology::neighbor(SiteId a, SiteId b) const {
+  RTDS_REQUIRE(a < site_count());
   for (const auto& n : adjacency_[a])
-    if (n.site == b) return true;
-  return false;
+    if (n.site == b) return &n;
+  return nullptr;
 }
 
 Time Topology::link_delay(SiteId a, SiteId b) const {
-  RTDS_REQUIRE(a < site_count());
-  for (const auto& n : adjacency_[a])
-    if (n.site == b) return n.delay;
-  RTDS_REQUIRE_MSG(false, "sites " << a << " and " << b << " not adjacent");
-  return 0.0;
+  const Neighbor* n = neighbor(a, b);
+  RTDS_REQUIRE_MSG(n != nullptr, "sites " << a << " and " << b
+                                          << " not adjacent");
+  return n->delay;
 }
 
 bool Topology::connected() const {

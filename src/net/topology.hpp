@@ -59,6 +59,10 @@ class Topology {
 
   bool adjacent(SiteId a, SiteId b) const;
 
+  /// a's adjacency entry for b (link index, delay, throughput), or nullptr
+  /// when a and b share no link. Requires a < site_count().
+  const Neighbor* neighbor(SiteId a, SiteId b) const;
+
   /// Delay of the direct link a—b; requires adjacency.
   Time link_delay(SiteId a, SiteId b) const;
 
