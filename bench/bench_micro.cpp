@@ -13,6 +13,7 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baseline/broadcast.hpp"
@@ -32,6 +33,7 @@
 #include "obs/trace.hpp"
 #include "routing/apsp.hpp"
 #include "routing/pcs.hpp"
+#include "routing/transport.hpp"
 #include "sched/admission.hpp"
 #include "snap/snapshot.hpp"
 #include "snap/warm_start.hpp"
@@ -82,6 +84,48 @@ void BM_PcsBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PcsBuild);
+
+// ----------------------------------------------------------- transport ----
+
+void BM_ContendedTransportSend(benchmark::State& state) {
+  // The §13 store-and-forward path: multi-hop sends across a grid through
+  // one ContendedTransport, drained each iteration. Every hop costs a
+  // route lookup, one per-directed-link FIFO update and one event; sends
+  // that share a link queue behind each other. Timed per send.
+  Rng rng(17);
+  const auto side = static_cast<std::size_t>(state.range(0));
+  const Topology topo = make_grid(side, side, DelayRange{0.5, 2.0}, rng);
+  const auto tables = phased_apsp(topo, 4);
+  std::vector<std::pair<SiteId, SiteId>> pairs;
+  std::size_t hops = 0;
+  while (pairs.size() < 1024) {
+    const auto from = static_cast<SiteId>(
+        rng.uniform_int(0, std::int64_t(topo.site_count()) - 1));
+    const auto dests = tables[from].dests();
+    const SiteId to = dests[static_cast<std::size_t>(
+        rng.uniform_int(0, std::int64_t(dests.size()) - 1))];
+    const RouteLine* line = tables[from].find(to);
+    if (line == nullptr || line->hops < 2) continue;
+    pairs.emplace_back(from, to);
+    hops += line->hops;
+  }
+  Simulator sim;
+  ContendedTransport transport(sim, topo, tables, 8.0);
+  for (SiteId s = 0; s < topo.site_count(); ++s)
+    transport.set_handler(s, [](SiteId, const MessageBody&) {});
+  for (auto _ : state) {
+    std::size_t charged = 0;
+    for (const auto& [from, to] : pairs)
+      charged += transport.send(from, to, UnlockMsg{1}, kMsgUnlock, 2.0);
+    sim.run();
+    benchmark::DoNotOptimize(charged);
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()) *
+                          int64_t(pairs.size()));
+  state.SetLabel(std::to_string(side * side) + " sites, 1024 sends, " +
+                 std::to_string(hops) + " hops");
+}
+BENCHMARK(BM_ContendedTransportSend)->Arg(16)->Arg(32);
 
 // ---------------------------------------------------------- large topo ----
 //

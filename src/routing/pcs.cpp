@@ -77,13 +77,20 @@ Pcs Pcs::build(const std::vector<RoutingTable>& tables, SiteId root,
   pcs.pair_delay_.assign(m * m, 0.0);
   pcs.pair_hops_.assign(m * m, 0);
   for (std::size_t i = 0; i < m; ++i) {
-    const SiteId a = pcs.members_[i].site;
+    const RoutingTable& table = tables[pcs.members_[i].site];
+    const auto dests = table.dests();
+    // members_ and the table's slots both ascend by site id, so one
+    // forward walk per row finds every member instead of a search each.
+    std::size_t slot = 0;
     for (std::size_t j = 0; j < m; ++j) {
       if (i == j) continue;
       const SiteId b = pcs.members_[j].site;
-      if (const RouteLine* line = tables[a].find(b)) {
-        pcs.pair_delay_[i * m + j] = line->dist;
-        pcs.pair_hops_[i * m + j] = line->hops;
+      while (slot < dests.size() && dests[slot] < b) ++slot;
+      const bool routed = slot < dests.size() && dests[slot] == b &&
+                          table.line_at(slot).dist != kInfiniteTime;
+      if (routed) {
+        pcs.pair_delay_[i * m + j] = table.line_at(slot).dist;
+        pcs.pair_hops_[i * m + j] = table.line_at(slot).hops;
       } else {
         // Relay through the root: always possible inside the sphere and a
         // safe over-estimate (the paper only needs an upper bound ω).

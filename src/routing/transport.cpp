@@ -1,5 +1,6 @@
 #include "routing/transport.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "fault/fault.hpp"
@@ -272,26 +273,54 @@ void ContendedTransport::hop(SiteId origin, SiteId cur, SiteId to,
     drop(to, *payload);
     return;
   }
+  // One adjacency scan gives both the busy slot and the propagation delay.
+  const Neighbor* link = topo_.neighbor(cur, next);
+  RTDS_CHECK(link != nullptr);
   const Time now = sim_.now();
-  Time& busy_until = link_busy_until_[{cur, next}];
-  const Time queue_start = std::max(now, busy_until);
+  Time& busy = busy_until(cur, *link);
+  const Time queue_start = std::max(now, busy);
   max_queueing_delay_ = std::max(max_queueing_delay_, queue_start - now);
   // Queueing in integer microsim-units: enough resolution for the bin
   // histogram, and integral so the metric stays exactly mergeable.
   RTDS_HIST("net.contended.queue_x1000", (queue_start - now) * 1000.0);
   const Time tx = size_units / bandwidth_;
-  busy_until = queue_start + tx;
-  const Time arrival = queue_start + tx + topo_.link_delay(cur, next);
-  sim_.schedule_at(arrival,
-                   [this, origin, next, to, p = payload,
-                    size_units]() { hop(origin, next, to, p, size_units); });
-  if (sim_.recording()) {
+  busy = queue_start + tx;
+  const Time arrival = queue_start + tx + link->delay;
+  // The payload moves down the hop chain; only a recorded run keeps a
+  // second reference, for the replay record.
+  std::shared_ptr<const MessageBody> rec_payload;
+  if (sim_.recording()) rec_payload = payload;
+  sim_.schedule_at(arrival, [this, origin, next, to, p = std::move(payload),
+                             size_units]() mutable {
+    hop(origin, next, to, std::move(p), size_units);
+  });
+  if (rec_payload) {
     EventRecord rec = msg_record(EventRecord::Kind::kContendedHop, origin, next,
-                                 std::move(payload));
+                                 std::move(rec_payload));
     rec.dest = to;
     rec.y = size_units;
     sim_.annotate(std::move(rec));
   }
+}
+
+Time& ContendedTransport::busy_until(SiteId from, const Neighbor& to) {
+  if (link_busy_until_.empty())
+    link_busy_until_.assign(2 * topo_.link_count(), kIdleLink);
+  return link_busy_until_[2 * std::size_t{to.link} + (from > to.site)];
+}
+
+std::map<std::pair<SiteId, SiteId>, Time> ContendedTransport::busy_links()
+    const {
+  std::map<std::pair<SiteId, SiteId>, Time> out;
+  for (std::size_t slot = 0; slot < link_busy_until_.size(); ++slot) {
+    if (link_busy_until_[slot] == kIdleLink) continue;
+    const Link& link = topo_.links()[slot / 2];
+    const SiteId lo = std::min(link.a, link.b), hi = std::max(link.a, link.b);
+    // Odd slots carry the high-to-low direction.
+    if (slot % 2 == 0) out.emplace(std::pair{lo, hi}, link_busy_until_[slot]);
+    else out.emplace(std::pair{hi, lo}, link_busy_until_[slot]);
+  }
+  return out;
 }
 
 }  // namespace rtds

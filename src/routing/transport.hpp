@@ -118,13 +118,24 @@ class ContendedTransport final : public Transport {
   /// for tests/benches: how badly the ideal model's assumption was violated).
   Time max_queueing_delay() const { return max_queueing_delay_; }
 
+  /// Busy-until time of every directed link (from, to) a message has
+  /// crossed, in ascending (from, to) order — what a snapshot records.
+  std::map<std::pair<SiteId, SiteId>, Time> busy_links() const;
+
  private:
+  /// Marks a direction no message has crossed yet. Any real busy-until is
+  /// >= 0, so max(now, kIdleLink) == now and the queueing is unchanged.
+  static constexpr Time kIdleLink = -1.0;
+
   void drop(SiteId to, const MessageBody& payload);
   void deliver_self(SiteId from, SiteId to, const MessageBody& payload);
   void forward(SiteId at, SiteId to,
                std::shared_ptr<const MessageBody> payload, double size_units);
   void hop(SiteId origin, SiteId cur, SiteId to,
            std::shared_ptr<const MessageBody> payload, double size_units);
+  /// The busy-until slot of the direction from `from` over its adjacency
+  /// entry `to`; allocates the table on first use.
+  Time& busy_until(SiteId from, const Neighbor& to);
 
   friend struct snap::Access;
 
@@ -133,8 +144,10 @@ class ContendedTransport final : public Transport {
   const std::vector<RoutingTable>& tables_;
   double bandwidth_;
   std::vector<Handler> handlers_;
-  /// busy-until time per directed link (a, b).
-  std::map<std::pair<SiteId, SiteId>, Time> link_busy_until_;
+  /// Busy-until time per directed link: slot 2 · Neighbor::link +
+  /// (from > to), kIdleLink until first crossed. Empty until the first hop,
+  /// so constructing a transport allocates nothing per link.
+  std::vector<Time> link_busy_until_;
   MessageStats stats_;
   Time max_queueing_delay_ = 0.0;
   fault::FaultState* faults_ = nullptr;

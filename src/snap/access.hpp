@@ -199,16 +199,6 @@ As<std::uint8_t, T> as_u8(T& v) {
   return {v, "byte"};
 }
 
-/// `n` fixed-width values as one bulk array (u32, u64 or f64).
-template <class Ar, class T>
-void array(Ar& ar, T* p, std::size_t n) {
-  using U = std::remove_const_t<T>;
-  if constexpr (std::is_same_v<U, std::uint32_t>) ar.u32_array(p, n);
-  else if constexpr (std::is_same_v<U, std::uint64_t>) ar.u64_array(p, n);
-  else if constexpr (std::is_same_v<U, double>) ar.f64_array(p, n);
-  else static_assert(sizeof(U) == 0, "no bulk wire form for this type");
-}
-
 /// An element count (u64). Loading rejects a count whose elements, at
 /// `width` bytes each at the least, would not fit in the rest of the
 /// section — before the caller allocates anything.
@@ -374,11 +364,6 @@ inline void put(Writer& w, std::uint64_t v) { w.u64(v); }
 inline void put(Writer& w, std::int64_t v) { w.i64(v); }
 inline void put(Writer& w, double v) { w.f64(v); }
 
-template <class T>
-inline constexpr bool kBulk = std::is_same_v<T, std::uint32_t> ||
-                              std::is_same_v<T, std::uint64_t> ||
-                              std::is_same_v<T, double>;
-
 /// The one field entry point: adaptors, primitives by exact type, strings,
 /// pairs, fixed arrays, vectors, and everything with an Access::io.
 template <class Ar, class V>
@@ -409,7 +394,7 @@ void field(Ar& ar, V&& v) {
         v.resize(n);
       }
     }
-    if constexpr (kBulk<E>) array(ar, std::data(v), std::size(v));
+    if constexpr (kBulk<E>) ar.array(std::data(v), std::size(v));
     else for (auto& x : v) field(ar, x);
   } else {
     Access::io(ar, v);

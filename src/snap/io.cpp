@@ -28,6 +28,10 @@ std::uint64_t read_le(const char* p, std::size_t bytes) {
          << (8 * i);
   return v;
 }
+
+/// The unsigned integer a bulk element's bytes travel as.
+template <class T>
+using Bits = std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint64_t>;
 }  // namespace
 
 std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t seed) {
@@ -129,32 +133,20 @@ void Writer::bytes(const void* data, std::size_t size) {
   out_.append(static_cast<const char*>(data), size);
 }
 
-void Writer::u32_array(const std::uint32_t* v, std::size_t n) {
+template <class T>
+  requires kBulk<T>
+void Writer::array(const T* v, std::size_t n) {
   if (n == 0) return;  // v may be null for an empty vector
   if constexpr (kHostIsLittle) {
-    out_.append(reinterpret_cast<const char*>(v), n * 4);
+    out_.append(reinterpret_cast<const char*>(v), n * sizeof(T));
   } else {
-    for (std::size_t i = 0; i < n; ++i) u32(v[i]);
+    for (std::size_t i = 0; i < n; ++i)
+      append_le(out_, std::bit_cast<Bits<T>>(v[i]), sizeof(T));
   }
 }
-
-void Writer::u64_array(const std::uint64_t* v, std::size_t n) {
-  if (n == 0) return;  // v may be null for an empty vector
-  if constexpr (kHostIsLittle) {
-    out_.append(reinterpret_cast<const char*>(v), n * 8);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) u64(v[i]);
-  }
-}
-
-void Writer::f64_array(const double* v, std::size_t n) {
-  if (n == 0) return;  // v may be null for an empty vector
-  if constexpr (kHostIsLittle) {
-    out_.append(reinterpret_cast<const char*>(v), n * 8);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) f64(v[i]);
-  }
-}
+template void Writer::array(const std::uint32_t*, std::size_t);
+template void Writer::array(const std::uint64_t*, std::size_t);
+template void Writer::array(const double*, std::size_t);
 
 const std::string& Writer::finish() {
   RTDS_REQUIRE_MSG(section_name_.empty(), "unclosed section '"
@@ -309,42 +301,26 @@ double Reader::f64() {
   return v;
 }
 
-void Reader::u32_array(std::uint32_t* out, std::size_t n) {
+template <class T>
+  requires kBulk<T>
+void Reader::array(T* out, std::size_t n) {
   if (n == 0) return;  // out may be null for an empty vector
   // Divide instead of multiplying so a hostile count cannot wrap size_t.
-  if (n > section_remaining() / 4)
-    fail("array of " + std::to_string(n) + " u32 extends past the section");
+  if (n > section_remaining() / sizeof(T))
+    fail("array of " + std::to_string(n) + " " + std::to_string(sizeof(T)) +
+         "-byte values extends past the section");
   if constexpr (kHostIsLittle) {
-    std::memcpy(out, data_.data() + pos_, n * 4);
-    pos_ += n * 4;
+    std::memcpy(out, data_.data() + pos_, n * sizeof(T));
+    pos_ += n * sizeof(T);
   } else {
-    for (std::size_t i = 0; i < n; ++i) out[i] = u32();
+    for (std::size_t i = 0; i < n; ++i, pos_ += sizeof(T))
+      out[i] = std::bit_cast<T>(
+          static_cast<Bits<T>>(read_le(data_.data() + pos_, sizeof(T))));
   }
 }
-
-void Reader::u64_array(std::uint64_t* out, std::size_t n) {
-  if (n == 0) return;  // out may be null for an empty vector
-  if (n > section_remaining() / 8)
-    fail("array of " + std::to_string(n) + " u64 extends past the section");
-  if constexpr (kHostIsLittle) {
-    std::memcpy(out, data_.data() + pos_, n * 8);
-    pos_ += n * 8;
-  } else {
-    for (std::size_t i = 0; i < n; ++i) out[i] = u64();
-  }
-}
-
-void Reader::f64_array(double* out, std::size_t n) {
-  if (n == 0) return;  // out may be null for an empty vector
-  if (n > section_remaining() / 8)
-    fail("array of " + std::to_string(n) + " f64 extends past the section");
-  if constexpr (kHostIsLittle) {
-    std::memcpy(out, data_.data() + pos_, n * 8);
-    pos_ += n * 8;
-  } else {
-    for (std::size_t i = 0; i < n; ++i) out[i] = f64();
-  }
-}
+template void Reader::array(std::uint32_t*, std::size_t);
+template void Reader::array(std::uint64_t*, std::size_t);
+template void Reader::array(double*, std::size_t);
 
 std::string Reader::str() {
   const std::uint64_t len = u64();

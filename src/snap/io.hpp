@@ -29,6 +29,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "util/error.hpp"
 
@@ -38,6 +39,12 @@ inline constexpr char kMagic[8] = {'R', 'T', 'D', 'S', 'N', 'A', 'P', '\0'};
 // v2: InvariantChecker section grew the seq-monotone map and shed-queue
 // accounting counters (PR 10) — old snapshots are rejected, not misread.
 inline constexpr std::uint32_t kFormatVersion = 2;
+
+/// The element types with a bulk array form: u32, u64 and f64.
+template <class T>
+inline constexpr bool kBulk = std::is_same_v<T, std::uint32_t> ||
+                              std::is_same_v<T, std::uint64_t> ||
+                              std::is_same_v<T, double>;
 
 /// FNV-1a 64-bit over a byte range (the building block for config hashes).
 std::uint64_t fnv1a(const void* data, std::size_t size,
@@ -79,12 +86,12 @@ class Writer {
   void str(std::string_view s);
   void bytes(const void* data, std::size_t size);
 
-  /// Bulk fixed-width writes: identical bytes to calling the scalar form
+  /// Bulk fixed-width write: identical bytes to calling the scalar form
   /// in a loop, one append on little-endian hosts. The decode side of
   /// these is where warm-start hits and snapshot loads spend their time.
-  void u32_array(const std::uint32_t* v, std::size_t n);
-  void u64_array(const std::uint64_t* v, std::size_t n);
-  void f64_array(const double* v, std::size_t n);
+  template <class T>
+    requires kBulk<T>
+  void array(const T* v, std::size_t n);
 
   /// The finished container (appends the end-of-file marker once).
   const std::string& finish();
@@ -144,11 +151,11 @@ class Reader {
   bool b() { return u8() != 0; }
   std::string str();
 
-  /// Bulk fixed-width reads: one bounds check + one memcpy on
+  /// Bulk fixed-width read: one bounds check + one memcpy on
   /// little-endian hosts, equivalent to the scalar form in a loop.
-  void u32_array(std::uint32_t* out, std::size_t n);
-  void u64_array(std::uint64_t* out, std::size_t n);
-  void f64_array(double* out, std::size_t n);
+  template <class T>
+    requires kBulk<T>
+  void array(T* out, std::size_t n);
 
   /// Bytes left in the current section body.
   std::size_t section_remaining() const { return section_end_ - pos_; }

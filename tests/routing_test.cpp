@@ -4,6 +4,7 @@
 // correctly bounded.
 #include <gtest/gtest.h>
 
+#include "fault/fault.hpp"
 #include "net/generators.hpp"
 #include "net/shortest_paths.hpp"
 #include "routing/apsp.hpp"
@@ -233,6 +234,46 @@ TEST(Pcs, DiametersAndSubsets) {
   EXPECT_DOUBLE_EQ(pcs.delay_diameter_of({5}), 0.0);
   EXPECT_DOUBLE_EQ(pcs.delay(5, 5), 0.0);
   EXPECT_THROW(pcs.member(99), ContractViolation);
+}
+
+TEST(Pcs, PairMatricesMatchRouteLookups) {
+  // Each pair entry is the owner's live route line when the interrupted
+  // APSP surfaced one, else the root-relayed bound — on fresh tables, on
+  // tables a crash repair has thinned out, and past a withdrawn line that
+  // still holds its slot.
+  Rng rng(13);
+  const Topology topo = make_erdos_renyi(24, 0.15, DelayRange{0.5, 5.0}, rng);
+  const std::size_t h = 2;
+  auto tables = phased_apsp(topo, 2 * h);
+  const auto check = [&] {
+    for (SiteId root = 0; root < topo.site_count(); ++root) {
+      const Pcs pcs = Pcs::build(tables, root, h);
+      for (const auto& a : pcs.members()) {
+        for (const auto& b : pcs.members()) {
+          if (a.site == b.site) continue;
+          const RouteLine* line = tables[a.site].find(b.site);
+          EXPECT_EQ(pcs.delay(a.site, b.site),
+                    line != nullptr ? line->dist : a.delay + b.delay);
+          EXPECT_EQ(pcs.hops(a.site, b.site),
+                    line != nullptr ? line->hops : a.hops + b.hops);
+        }
+      }
+    }
+  };
+  check();
+  fault::FaultPlan plan;
+  plan.events = {fault::FaultEvent{1.0, fault::FaultKind::kSiteDown, 5, 0}};
+  fault::FaultState faults(topo, plan);
+  faults.apply(plan.events[0]);
+  const SiteId changed[1] = {5};
+  repair_apsp(tables, topo, 2 * h, &faults, changed);
+  check();
+  const Pcs sphere = Pcs::build(tables, 0, h);
+  ASSERT_GE(sphere.size(), 3u);
+  const SiteId x = sphere.members()[1].site, y = sphere.members()[2].site;
+  ASSERT_NE(tables[x].find(y), nullptr);
+  tables[x].set_line(y, RouteLine{});  // a tombstone: slot kept, no route
+  check();
 }
 
 TEST(Pcs, RadiusZeroIsSelfOnly) {
