@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "baseline/broadcast.hpp"
+#include "baseline/centralized.hpp"
+#include "baseline/offload.hpp"
 #include "core/mapper.hpp"
 #include "dag/analysis.hpp"
 #include "core/rtds_system.hpp"
@@ -455,17 +457,26 @@ void BM_WorkloadSimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_WorkloadSimulation);
 
+/// The E2 offload condition the baseline rows share: 8×8 grid, rate 0.04,
+/// horizon 800, seed 42.
+const exp::Condition& e2_offload_cell() {
+  static const exp::Condition c = [] {
+    exp::ConditionSpec cs = exp::offload_regime();
+    cs.net = NetShape::kGrid;
+    cs.sites = 64;
+    cs.horizon = 800.0;
+    cs.rate = 0.04;
+    cs.seed = 42;
+    return exp::make_condition(cs);
+  }();
+  return c;
+}
+
 void BM_BroadcastBaseline(benchmark::State& state) {
-  // The [4]-style BCAST baseline on the E2 offload condition (8×8 grid,
-  // rate 0.04, horizon 800): its periodic network-wide surplus flood is
-  // the cost this row tracks. Items = jobs decided.
-  exp::ConditionSpec cs = exp::offload_regime();
-  cs.net = NetShape::kGrid;
-  cs.sites = 64;
-  cs.horizon = 800.0;
-  cs.rate = 0.04;
-  cs.seed = 42;
-  const exp::Condition c = exp::make_condition(cs);
+  // The [4]-style BCAST baseline on the E2 offload condition: its periodic
+  // network-wide surplus flood is the cost this row tracks. Items = jobs
+  // decided.
+  const exp::Condition& c = e2_offload_cell();
   std::uint64_t jobs = 0;
   for (auto _ : state) {
     const RunMetrics m = run_broadcast(c.topo, c.arrivals, BroadcastConfig{});
@@ -474,6 +485,37 @@ void BM_BroadcastBaseline(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(jobs));
 }
 BENCHMARK(BM_BroadcastBaseline);
+
+void BM_CentralizedBaseline(benchmark::State& state) {
+  // The omniscient CENTRAL baseline over the whole network (h = -1) on the
+  // E2 offload condition: ETF over every site per task. Items = jobs decided.
+  const exp::Condition& c = e2_offload_cell();
+  std::uint64_t jobs = 0;
+  for (auto _ : state) {
+    const RunMetrics m =
+        run_centralized(c.topo, c.arrivals, CentralizedConfig{});
+    jobs += m.arrived;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(jobs));
+}
+BENCHMARK(BM_CentralizedBaseline);
+
+void BM_OffloadBaseline(benchmark::State& state) {
+  // Whole-job offloading on the E2 offload condition: arg 0 = BID (sphere
+  // bid collection, then offers), 1 = RANDOM (one random offer). Items =
+  // jobs decided.
+  const exp::Condition& c = e2_offload_cell();
+  OffloadConfig cfg;
+  cfg.policy = state.range(0) == 0 ? OffloadPolicy::kBestSurplus
+                                   : OffloadPolicy::kRandom;
+  std::uint64_t jobs = 0;
+  for (auto _ : state) {
+    const RunMetrics m = run_offload(c.topo, c.arrivals, cfg);
+    jobs += m.arrived;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(jobs));
+}
+BENCHMARK(BM_OffloadBaseline)->Arg(0)->Arg(1);
 
 // ------------------------------------------------------- §12 hardening ----
 

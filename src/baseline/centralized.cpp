@@ -1,7 +1,6 @@
 #include "baseline/centralized.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "dag/analysis.hpp"
 #include "net/shortest_paths.hpp"
@@ -18,6 +17,9 @@ RunMetrics run_centralized(const Topology& topo,
   std::vector<PathResult> paths;
   paths.reserve(n);
   for (SiteId s = 0; s < n; ++s) paths.push_back(dijkstra(topo, s));
+  double max_power = 0.0;
+  for (SiteId s = 0; s < n; ++s)
+    max_power = std::max(max_power, topo.computing_power(s));
 
   std::vector<SchedulingPlan> plans(n);
 
@@ -63,7 +65,26 @@ RunMetrics run_centralized(const Topology& topo,
     const Job& job = *a.job;
     const Time now = job.release;
     apply_events_until(now);
-    for (auto& p : plans) p.garbage_collect(now);
+    JobDecision d;
+    d.job = job.id;
+    d.initiator = a.site;
+    d.arrival = now;
+    d.decision_time = now;
+    d.deadline = job.deadline;
+    d.task_count = job.dag.task_count();
+    if (!timeline.up_at(a.site, now)) {
+      // The arrival site itself is dead: the job is lost with it.
+      d.outcome = JobOutcome::kRejected;
+      d.reject_reason = RejectReason::kSiteDown;
+      d.acs_size = 1;
+      metrics.record(d);
+      continue;
+    }
+    // Reservations are sorted by start and disjoint: if a plan's front has
+    // not ended, none has, and there is nothing to collect.
+    for (auto& p : plans)
+      if (!p.empty() && time_le(p.reservations().front().end, now))
+        p.garbage_collect(now);
 
     // Candidate sites (optionally sphere-limited for fairness vs. RTDS).
     std::vector<SiteId> sites;
@@ -73,23 +94,9 @@ RunMetrics run_centralized(const Topology& topo,
           paths[a.site].hops[s] <= cfg.sphere_radius_h)
         sites.push_back(s);
     }
-    if (!timeline.up_at(a.site, now)) {
-      // The arrival site itself is dead: the job is lost with it.
-      JobDecision d;
-      d.job = job.id;
-      d.initiator = a.site;
-      d.outcome = JobOutcome::kRejected;
-      d.reject_reason = RejectReason::kSiteDown;
-      d.arrival = now;
-      d.decision_time = now;
-      d.deadline = job.deadline;
-      d.task_count = job.dag.task_count();
-      d.acs_size = 1;
-      metrics.record(d);
-      continue;
-    }
 
-    // ETF list scheduling with exact idle intervals and true delays.
+    // ETF list scheduling with exact idle intervals and true delays,
+    // reserved straight into the live plans.
     const Dag& dag = job.dag;
     const auto& priority = dag.bottom_levels();
     std::vector<std::size_t> missing(dag.task_count());
@@ -98,10 +105,8 @@ RunMetrics run_centralized(const Topology& topo,
       missing[t] = dag.predecessors(t).size();
       if (missing[t] == 0) free_list.push_back(t);
     }
-    std::vector<SchedulingPlan> trial = plans;
     std::vector<Time> finish(dag.task_count(), 0.0);
     std::vector<SiteId> where(dag.task_count(), kNoSite);
-    std::vector<Reservation> committed;
     bool ok = true;
     Time completion = now;
     while (!free_list.empty()) {
@@ -115,17 +120,26 @@ RunMetrics run_centralized(const Topology& topo,
       const TaskId t = free_list[best];
       free_list.erase(free_list.begin() + static_cast<std::ptrdiff_t>(best));
 
+      // No site finishes before `floor`: none starts before `ready` or
+      // runs faster than max_power.
+      const auto preds = dag.predecessors(t);
+      Time ready = now;
+      for (TaskId q : preds) ready = std::max(ready, finish[q]);
+      const Time floor = ready + dag.cost(t) / max_power;
       SiteId chosen = kNoSite;
       Time chosen_start = 0.0, chosen_finish = kInfiniteTime;
       for (SiteId s : sites) {
+        if (!time_lt(floor, chosen_finish)) break;  // no site can beat it
         Time est = now;
-        for (TaskId q : dag.predecessors(t)) {
+        for (TaskId q : preds) {
           const Time dist =
               where[q] == s ? 0.0 : paths[where[q]].dist[s];
           est = std::max(est, finish[q] + dist);
         }
         const Time duration = dag.cost(t) / topo.computing_power(s);
-        const Time start = trial[s].earliest_fit(est, job.deadline, duration);
+        // earliest_fit starts at or after est, so this site cannot win.
+        if (!time_lt(est + duration, chosen_finish)) continue;
+        const Time start = plans[s].earliest_fit(est, job.deadline, duration);
         if (start == kInfiniteTime) continue;
         if (time_lt(start + duration, chosen_finish)) {
           chosen = s;
@@ -137,9 +151,7 @@ RunMetrics run_centralized(const Topology& topo,
         ok = false;
         break;
       }
-      const Reservation r{job.id, t, chosen_start, chosen_finish};
-      trial[chosen].reserve(r);
-      committed.push_back(r);
+      plans[chosen].reserve({job.id, t, chosen_start, chosen_finish});
       where[t] = chosen;
       finish[t] = chosen_finish;
       completion = std::max(completion, chosen_finish);
@@ -147,19 +159,13 @@ RunMetrics run_centralized(const Topology& topo,
         if (--missing[s2] == 0) free_list.push_back(s2);
     }
     ok = ok && time_le(completion, job.deadline);
-
-    JobDecision d;
-    d.job = job.id;
-    d.initiator = a.site;
-    d.arrival = now;
-    d.decision_time = now;
-    d.deadline = job.deadline;
-    d.task_count = dag.task_count();
+    std::vector<SiteId> used = where;  // distinct placed sites, ascending
+    std::erase(used, kNoSite);
+    std::ranges::sort(used);
+    used.erase(std::ranges::unique(used).begin(), used.end());
     if (ok) {
-      plans = std::move(trial);
-      std::set<SiteId> used(where.begin(), where.end());
       d.acs_size = used.size();
-      d.outcome = (used.size() == 1 && *used.begin() == a.site)
+      d.outcome = (used.size() == 1 && used.front() == a.site)
                       ? JobOutcome::kAcceptedLocal
                       : JobOutcome::kAcceptedRemote;
       if (timeline.empty()) {
@@ -176,6 +182,8 @@ RunMetrics run_centralized(const Topology& topo,
         in_flight.push_back(std::move(rec));
       }
     } else {
+      // remove_job is a stable erase: each plan is back to its old contents.
+      for (SiteId s : used) plans[s].remove_job(job.id);
       d.acs_size = sites.size();
       d.outcome = JobOutcome::kRejected;
       d.reject_reason = RejectReason::kOffloadRefused;

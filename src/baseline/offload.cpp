@@ -37,8 +37,7 @@ class OffloadDriver {
         cfg_(cfg),
         net_(sim_, topo_),
         rng_(cfg.seed),
-        alive_(topo.site_count(), 1),
-        epoch_(topo.site_count(), 0) {
+        alive_(topo.site_count(), 1) {
     const auto tables = phased_apsp(topo_, 2 * cfg_.sphere_radius_h);
     for (SiteId s = 0; s < topo_.site_count(); ++s) {
       pcs_.push_back(Pcs::build(tables, s, cfg_.sphere_radius_h));
@@ -71,7 +70,6 @@ class OffloadDriver {
         ++metrics_.failed_jobs;
         continue;
       }
-      RTDS_CHECK(track.tasks_done == track.tasks_expected);
       metrics_.job_lateness.add(track.completion - track.deadline);
       RTDS_CHECK_MSG(time_le(track.completion, track.deadline),
                      "offload baseline missed deadline on job " << job);
@@ -94,9 +92,7 @@ class OffloadDriver {
 
   struct JobTrack {
     SiteId site = kNoSite;  ///< whole-DAG baselines commit on one site
-    std::size_t tasks_expected = 0;
-    std::size_t tasks_done = 0;
-    Time completion = 0.0;
+    Time completion = 0.0;  ///< last task end, fixed at commit
     Time deadline = 0.0;
     bool failed = false;  ///< lost to a crash of its site
   };
@@ -104,12 +100,13 @@ class OffloadDriver {
   void crash(SiteId s) {
     if (!alive_[s]) return;
     alive_[s] = 0;
-    ++epoch_[s];  // pending completion events of this life become stale
     LocalSchedulerConfig sc = cfg_.sched;
     sc.computing_power = topo_.computing_power(s);
     scheds_[s] = LocalScheduler(sc);
+    // A task ending exactly now is still pending: crash events were
+    // scheduled before any commit, so they run first at a tied instant.
     for (auto& [job, track] : accepted_)
-      if (track.site == s && track.tasks_done < track.tasks_expected)
+      if (track.site == s && track.completion >= sim_.now())
         track.failed = true;
     // Negotiations this site was driving die with it; their jobs still
     // need decisions.
@@ -143,18 +140,11 @@ class OffloadDriver {
     const auto placements = sched.try_accept_dag_local(job, earliest);
     if (!placements) return false;
     auto& track = accepted_[job.id];
-    track.site = site;
-    track.tasks_expected = job.dag.task_count();
+    // A job with nothing to run has no site a crash could lose it on.
+    if (!placements->empty()) track.site = site;
     track.deadline = job.deadline;
-    for (const auto& p : *placements) {
-      sim_.schedule_at(p.end, [this, id = job.id, end = p.end, site,
-                               ep = epoch_[site]]() {
-        if (ep != epoch_[site]) return;  // the site crashed; work lost
-        auto& tr = accepted_.at(id);
-        ++tr.tasks_done;
-        tr.completion = std::max(tr.completion, end);
-      });
-    }
+    for (const auto& p : *placements)
+      track.completion = std::max(track.completion, p.end);
     return true;
   }
 
@@ -286,7 +276,6 @@ class OffloadDriver {
   SimNetwork net_;
   Rng rng_;
   std::vector<char> alive_;
-  std::vector<std::uint64_t> epoch_;
   std::vector<Pcs> pcs_;
   std::vector<LocalScheduler> scheds_;
   std::map<JobId, Initiation> active_;

@@ -10,7 +10,6 @@
 // the capability RTDS adds.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <vector>
