@@ -1,7 +1,7 @@
 // Walks through the paper's §12 worked example step by step, printing every
 // intermediate quantity with the formula that produced it — a companion to
-// reading the paper. bench_fig2_table1 prints the same artifacts in table
-// form; this example narrates them.
+// reading the paper. `rtds_exp --report=fig2_table1` prints the same
+// artifacts in table form; this example narrates them.
 #include <iostream>
 
 #include "core/mapper.hpp"

@@ -237,12 +237,14 @@ int run_policy_cmd(const std::string& name, const Flags& flags) {
   // The workload.* --set keys steer generation (bursty/diurnal arrivals,
   // deadline base); with none set the spec — and the closed-path bytes —
   // are untouched.
-  apply_workload_params(params, cs);
   const Topology topo = make_topology(cs);
   load::ArrivalSpec aspec;
-  aspec.kind = load::arrival_kind_from(params);
   aspec.site_count = topo.site_count();
   aspec.workload = workload_config(cs);
+  load::workload_table().apply(params, aspec);
+  // The closed generator reads the process off its WorkloadConfig.
+  if (aspec.kind == load::ArrivalKind::kBursty)
+    aspec.workload.arrival_process = ArrivalProcess::kBursty;
   if (!workload_trace.empty()) {
     // Replay a saved trace (validated against this topology) instead of
     // generating. Distinct from --trace=FILE, which *writes* obs events.

@@ -2,8 +2,9 @@
 //
 // Runs the same sporadic workload at several radii and prints the
 // acceptance / message / latency trade-off plus a recommendation (the
-// smallest h within 2% of the best ratio). Mirrors bench_e3 but as a
-// user-facing tool with flags.
+// smallest h within 2% of the best ratio). Mirrors the E3 sweep
+// (`rtds_exp --scenario=e3_sphere_radius`) but as a user-facing tool with
+// flags.
 //
 // Usage:
 //   sphere_tuning [--sites=64] [--net=geometric] [--rate=0.02]

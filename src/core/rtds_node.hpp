@@ -128,7 +128,7 @@ struct RtdsConfig {
   /// protocol has no retransmission, and without faults every message
   /// arrives). Off by default.
   bool retransmit = false;
-  int retransmit_tries = 3;  ///< max retransmissions per unanswered message
+  unsigned retransmit_tries = 3;  ///< max resends per unanswered message
   /// Seed of the backoff-jitter stream (RtdsSystem wires the fault plan's
   /// seed in, so the whole adversarial run is one seed).
   std::uint64_t fault_seed = 42;
@@ -391,7 +391,7 @@ class RtdsNode {
     MessageBody payload;  ///< unstamped template, re-stamped per resend
     int category = 0;
     double size_units = 1.0;
-    int attempts = 0;
+    unsigned attempts = 0;
     std::uint64_t gen = 0;  ///< arm generation; stale timers no-op
   };
   std::map<std::pair<JobId, SiteId>, Retry> retries_;

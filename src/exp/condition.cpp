@@ -1,7 +1,5 @@
 #include "exp/condition.hpp"
 
-#include "load/load_params.hpp"
-
 namespace rtds::exp {
 
 Topology make_topology(const ConditionSpec& spec) {
@@ -25,17 +23,6 @@ WorkloadConfig workload_config(const ConditionSpec& spec) {
   wl.burst_multiplier = spec.burst_multiplier;
   wl.deadline_model = spec.deadline_model;
   return wl;
-}
-
-void apply_workload_params(const policy::ParamMap& params,
-                           ConditionSpec& spec) {
-  WorkloadConfig wl = workload_config(spec);
-  load::apply_workload_params(params, wl);
-  spec.process = wl.arrival_process;
-  spec.burst_on_mean = wl.burst_on_mean;
-  spec.burst_off_mean = wl.burst_off_mean;
-  spec.burst_multiplier = wl.burst_multiplier;
-  spec.deadline_model = wl.deadline_model;
 }
 
 Condition make_condition(const ConditionSpec& spec) {

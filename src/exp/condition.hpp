@@ -4,15 +4,14 @@
 // This is the declarative half of a ScenarioSpec trial: scenario trial
 // functions bind grid-point values into a ConditionSpec, call
 // make_condition with the trial's derived seed, and run whichever
-// schedulers the experiment compares. Moved here from bench/common.hpp so
-// scenarios, tests and the rtds_exp CLI share one definition.
+// schedulers the experiment compares. Scenarios, tests and the rtds_exp
+// CLI share this one definition.
 #pragma once
 
 #include <vector>
 
 #include "core/rtds_system.hpp"
 #include "net/generators.hpp"
-#include "policy/param_map.hpp"
 
 namespace rtds::exp {
 
@@ -47,12 +46,6 @@ Topology make_topology(const ConditionSpec& spec);
 
 /// The workload half of make_condition: the WorkloadConfig a spec implies.
 WorkloadConfig workload_config(const ConditionSpec& spec);
-
-/// Decodes the shared workload.* ParamMap keys (load/load_params.hpp) onto
-/// the spec. The diurnal process is open-system-only and maps to kPoisson
-/// here — callers wanting it route generation through
-/// load::generate_open_workload / an ArrivalSource instead.
-void apply_workload_params(const policy::ParamMap& params, ConditionSpec& spec);
 
 Condition make_condition(const ConditionSpec& spec);
 

@@ -1,7 +1,7 @@
 // Report scenarios: deterministic printed artifacts that are not sweeps —
 // the Figure 1 protocol trace, the Figure 2/3/4 + Table 1 worked example,
-// and the E4a mapper case-boundary table. Bodies moved verbatim from the
-// legacy bench binaries; the benches are now thin drivers over run_report.
+// and the E4a mapper case-boundary table, run by `rtds_exp --report=NAME`.
+// Bodies moved verbatim from the retired per-experiment bench binaries.
 #include <ostream>
 
 #include "core/mapper.hpp"

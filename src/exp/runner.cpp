@@ -6,10 +6,8 @@
 #include <exception>
 #include <mutex>
 #include <optional>
-#include <ostream>
 #include <thread>
 
-#include "exp/sinks.hpp"
 #include "snap/io.hpp"
 #include "snap/journal.hpp"
 #include "snap/warm_start.hpp"
@@ -212,15 +210,6 @@ bool aggregates_identical(const std::vector<AggregateRow>& a,
     }
   }
   return true;
-}
-
-void run_and_print(const std::string& name, std::ostream& os,
-                   const RunOptions& opts) {
-  const ScenarioSpec* spec = Registry::instance().find(name);
-  RTDS_REQUIRE_MSG(spec != nullptr, "unknown scenario " << name);
-  const auto rows = run_scenario(*spec, opts);
-  if (!spec->title.empty()) os << spec->title << "\n";
-  TableSink().write(*spec, rows, os);
 }
 
 }  // namespace rtds::exp

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <vector>
 
 #include "exp/scenario.hpp"
@@ -83,10 +82,5 @@ std::vector<AggregateRow> run_scenario(const ScenarioSpec& spec,
 /// parallel == serial assertion exposed to tests and `rtds_exp --verify`.
 bool aggregates_identical(const std::vector<AggregateRow>& a,
                           const std::vector<AggregateRow>& b);
-
-/// Convenience for the thin bench drivers: runs the named registered
-/// scenario and prints its title (when set) and legacy-format table.
-void run_and_print(const std::string& name, std::ostream& os,
-                   const RunOptions& opts = {});
 
 }  // namespace rtds::exp

@@ -87,7 +87,7 @@ enum class SeedMode {
 /// run_scenario needs to expand, execute, aggregate and render it.
 struct ScenarioSpec {
   std::string name;         ///< registry key, e.g. "e2_guarantee_ratio"
-  std::string title;        ///< printed above the table by run_and_print
+  std::string title;        ///< printed above the table by the table sink
   std::string description;  ///< one-liner for --list
   std::vector<GridAxis> axes;      ///< sweep dimensions (product = grid)
   std::vector<MetricSpec> metrics; ///< result schema, in trial-value order

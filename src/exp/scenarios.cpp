@@ -1,6 +1,6 @@
-// The paper's evaluation, expressed as declarative scenarios. Each legacy
-// bench_e* sweep is one ScenarioSpec here; the bench binaries are thin
-// drivers calling run_and_print over these names. Tables are byte-for-byte
+// The paper's evaluation, expressed as declarative scenarios. Each paper
+// sweep is one ScenarioSpec here, run by `rtds_exp --scenario=NAME`
+// (EXPERIMENTS.md maps experiments to names). Tables are byte-for-byte
 // identical to the pre-subsystem serial output: the legacy sweeps used one
 // shared seed (42) for every grid point, which SeedMode::kFixed preserves.
 //

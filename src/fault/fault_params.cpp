@@ -10,61 +10,49 @@ Time fault_horizon(const std::vector<JobArrival>& arrivals) {
   return horizon;
 }
 
-policy::ParamSchema& add_crash_params(policy::ParamSchema& schema) {
-  schema
-      .add_double("faults.site_rate", 0.0,
-                  "site crashes per site per time unit (0 = faultless)")
-      .add_double("faults.site_mttr", 25.0, "mean site down-time")
-      .add_int("faults.seed", 42, "fault plan + perturbation stream seed");
-  return schema;
+const policy::ParamTable<FaultSpec>& crash_table() {
+  static const policy::ParamTable<FaultSpec> table =
+      policy::ParamTable<FaultSpec>{}
+          .bind("faults.site_rate",
+                "site crashes per site per time unit (0 = faultless)",
+                &FaultSpec::site_rate)
+          .bind("faults.site_mttr", "mean site down-time",
+                &FaultSpec::site_mttr)
+          .bind("faults.seed", "fault plan + perturbation stream seed",
+                &FaultSpec::seed);
+  return table;
 }
 
-policy::ParamSchema& add_fault_params(policy::ParamSchema& schema) {
-  add_crash_params(schema);
-  schema
-      .add_double("faults.link_rate", 0.0,
-                  "link failures per link per time unit")
-      .add_double("faults.link_mttr", 10.0, "mean link down-time")
-      .add_double("faults.drop", 0.0, "per-send message loss probability")
-      .add_double("faults.extra_delay", 0.0,
-                  "uniform [0, max) extra delay per send")
-      .add_double("faults.dup", 0.0,
-                  "per-send message duplication probability")
-      .add_double("faults.reorder", 0.0,
-                  "per-send probability of FIFO-violating reorder jitter")
-      .add_double("faults.reorder_delay", 1.0,
-                  "uniform [0, max) reorder jitter delay")
-      .add_double("faults.partition_rate", 0.0,
-                  "network partitions per time unit (random halving cuts)")
-      .add_double("faults.partition_mttr", 15.0,
-                  "mean partition duration before healing")
-      .add_bool("faults.retransmit", false,
-                "ack+retransmit unanswered protocol messages with capped "
-                "exponential backoff")
-      .add_int("faults.retransmit_tries", 3,
-               "max retransmissions per unanswered message");
-  return schema;
+const policy::ParamTable<FaultSpec>& fault_table() {
+  static const policy::ParamTable<FaultSpec> table =
+      policy::ParamTable<FaultSpec>{}
+          .include(crash_table())
+          .bind("faults.link_rate", "link failures per link per time unit",
+                &FaultSpec::link_rate)
+          .bind("faults.link_mttr", "mean link down-time",
+                &FaultSpec::link_mttr)
+          .bind("faults.drop", "per-send message loss probability",
+                &FaultSpec::drop_prob)
+          .bind("faults.extra_delay", "uniform [0, max) extra delay per send",
+                &FaultSpec::extra_delay_max)
+          .bind("faults.dup", "per-send message duplication probability",
+                &FaultSpec::dup_prob)
+          .bind("faults.reorder",
+                "per-send probability of FIFO-violating reorder jitter",
+                &FaultSpec::reorder_prob)
+          .bind("faults.reorder_delay", "uniform [0, max) reorder jitter delay",
+                &FaultSpec::reorder_delay_max)
+          .bind("faults.partition_rate",
+                "network partitions per time unit (random halving cuts)",
+                &FaultSpec::partition_rate)
+          .bind("faults.partition_mttr",
+                "mean partition duration before healing",
+                &FaultSpec::partition_mttr);
+  return table;
 }
 
 FaultSpec fault_spec_from(const policy::ParamMap& params, Time horizon) {
-  FaultSpec spec;
-  spec.site_rate = params.get_double("faults.site_rate", spec.site_rate);
-  spec.site_mttr = params.get_double("faults.site_mttr", spec.site_mttr);
-  spec.link_rate = params.get_double("faults.link_rate", spec.link_rate);
-  spec.link_mttr = params.get_double("faults.link_mttr", spec.link_mttr);
-  spec.drop_prob = params.get_double("faults.drop", spec.drop_prob);
-  spec.extra_delay_max =
-      params.get_double("faults.extra_delay", spec.extra_delay_max);
-  spec.dup_prob = params.get_double("faults.dup", spec.dup_prob);
-  spec.reorder_prob = params.get_double("faults.reorder", spec.reorder_prob);
-  spec.reorder_delay_max =
-      params.get_double("faults.reorder_delay", spec.reorder_delay_max);
-  spec.partition_rate =
-      params.get_double("faults.partition_rate", spec.partition_rate);
-  spec.partition_mttr =
-      params.get_double("faults.partition_mttr", spec.partition_mttr);
-  spec.seed = static_cast<std::uint64_t>(
-      params.get_int("faults.seed", static_cast<std::int64_t>(spec.seed)));
+  FaultSpec spec = fault_table().decode(params);
   spec.horizon = horizon;
   return spec;
 }

@@ -1,60 +1,38 @@
-// Shared ParamSchema fragment for the workload-process knobs
-// (`workload.*`), following the policy/sched_params.hpp idiom: one
-// add-to-schema helper plus decode helpers, applied to all six policy
-// families so the previously-dead WorkloadConfig fields (bursty arrivals,
-// burst shape, total-work deadlines) are reachable from every --set path.
-//
-// Every default equals the WorkloadConfig default, so an empty map leaves
-// the generated workload bit-identical to the legacy path.
+// The workload.* binding table: the arrival-process knobs every policy
+// family accepts, bound to the ArrivalSpec a caller generates its workload
+// from (Policy::run itself never reads them). workload.process picks the
+// ArrivalSpec kind; the rest bind its WorkloadConfig. Every default is the
+// ArrivalSpec default, so an empty map leaves the generated workload
+// bit-identical to the legacy path.
 #pragma once
 
-#include "core/workload.hpp"
 #include "load/source.hpp"
 #include "policy/param_map.hpp"
 
 namespace rtds::load {
 
-inline void add_workload_params(policy::ParamSchema& schema) {
-  schema
-      .add_enum("workload.process", "poisson", {"poisson", "bursty", "diurnal"},
-                "arrival process: memoryless, ON/OFF-modulated (MMPP), or the "
-                "open-system diurnal rate curve (src/load/)")
-      .add_double("workload.burst_on_mean", 50.0,
-                  "process=bursty: mean ON (burst) phase duration")
-      .add_double("workload.burst_off_mean", 200.0,
-                  "process=bursty: mean OFF (quiet) phase duration")
-      .add_double("workload.burst_multiplier", 6.0,
-                  "process=bursty: ON-phase arrival-rate multiplier")
-      .add_enum("workload.deadline", "critical_path",
-                {"critical_path", "total_work"},
-                "deadline base: parallel or single-site lower bound");
-}
-
-/// Which arrival process the workload.* keys select. kDiurnal has no closed
-/// generator — closed-batch callers must route it through
-/// generate_open_workload or reject it.
-inline ArrivalKind arrival_kind_from(const policy::ParamMap& p) {
-  switch (p.get_enum("workload.process", 0)) {
-    case 1: return ArrivalKind::kBursty;
-    case 2: return ArrivalKind::kDiurnal;
-    default: return ArrivalKind::kPoisson;
-  }
-}
-
-/// Decodes the workload.* keys onto `cfg` (kDiurnal maps to kPoisson here:
-/// the modulation lives in the ArrivalSpec curve, not in WorkloadConfig).
-inline void apply_workload_params(const policy::ParamMap& p,
-                                  WorkloadConfig& cfg) {
-  cfg.arrival_process = arrival_kind_from(p) == ArrivalKind::kBursty
-                            ? ArrivalProcess::kBursty
-                            : ArrivalProcess::kPoisson;
-  cfg.burst_on_mean = p.get_double("workload.burst_on_mean", cfg.burst_on_mean);
-  cfg.burst_off_mean =
-      p.get_double("workload.burst_off_mean", cfg.burst_off_mean);
-  cfg.burst_multiplier =
-      p.get_double("workload.burst_multiplier", cfg.burst_multiplier);
-  cfg.deadline_model = static_cast<DeadlineModel>(p.get_enum(
-      "workload.deadline", static_cast<std::size_t>(cfg.deadline_model)));
+inline const policy::ParamTable<ArrivalSpec>& workload_table() {
+  using A = ArrivalSpec;
+  using W = WorkloadConfig;
+  static const policy::ParamTable<A> table =
+      policy::ParamTable<A>{}
+          .bind_enum("workload.process", {"poisson", "bursty", "diurnal"},
+                     "arrival process: memoryless, ON/OFF-modulated (MMPP), "
+                     "or the open-system diurnal rate curve (src/load/)",
+                     &A::kind)
+          .bind("workload.burst_on_mean",
+                "process=bursty: mean ON (burst) phase duration",
+                &A::workload, &W::burst_on_mean)
+          .bind("workload.burst_off_mean",
+                "process=bursty: mean OFF (quiet) phase duration",
+                &A::workload, &W::burst_off_mean)
+          .bind("workload.burst_multiplier",
+                "process=bursty: ON-phase arrival-rate multiplier",
+                &A::workload, &W::burst_multiplier)
+          .bind_enum("workload.deadline", {"critical_path", "total_work"},
+                     "deadline base: parallel or single-site lower bound",
+                     &A::workload, &W::deadline_model);
+  return table;
 }
 
 }  // namespace rtds::load

@@ -1,27 +1,83 @@
 // The five comparison baselines as Policies: LOCAL, CENTRAL, BCAST, BID,
-// RANDOM. Each schema subsumes the family's config struct with identical
-// defaults, so an empty ParamMap reproduces the legacy free function bit
-// for bit (pinned by tests/policy_test.cpp).
-#include "baseline/broadcast.hpp"
-#include "baseline/centralized.hpp"
+// RANDOM. Each family's table binds its config struct, so an empty
+// ParamMap reproduces the legacy free function with the default struct
+// bit for bit (pinned by tests/policy_test.cpp).
 #include "baseline/local_only.hpp"
-#include "baseline/offload.hpp"
 #include "fault/fault_params.hpp"
 #include "load/load_params.hpp"
 #include "policy/policy.hpp"
-#include "policy/sched_params.hpp"
+#include "policy/rtds_params.hpp"
 
 namespace rtds::policy {
 
 namespace {
 
-/// Every baseline drives execution-plane faults from the shared crash keys
-/// (DESIGN.md §9); their control planes stay reliable by design.
+/// Every baseline table ends with the workload.* keys and the shared crash
+/// keys: baselines drive execution-plane faults only (DESIGN.md §9); their
+/// control planes stay reliable by design.
+template <class T>
+ParamTable<T>& list_shared(ParamTable<T>& table) {
+  return table.list(load::workload_table()).list(fault::crash_table());
+}
+
 fault::FaultPlan crash_plan(const ParamMap& params, const Topology& topo,
                             const std::vector<JobArrival>& arrivals) {
   return fault::FaultPlan::from_spec(
       fault::fault_spec_from(params, fault::fault_horizon(arrivals)), topo);
 }
+
+}  // namespace
+
+const ParamTable<LocalSchedulerConfig>& local_table() {
+  static const ParamTable<LocalSchedulerConfig> table =
+      list_shared(ParamTable<LocalSchedulerConfig>{}.include(sched_table()));
+  return table;
+}
+
+const ParamTable<CentralizedConfig>& central_table() {
+  using C = CentralizedConfig;
+  static const ParamTable<C> table = list_shared(
+      ParamTable<C>{}
+          .bind_limit("h",
+                      "restrict candidates to the arrival site's h-hop "
+                      "sphere (-1 = whole network)",
+                      &C::sphere_radius_h)
+          .include(sched_table(), &C::sched));
+  return table;
+}
+
+const ParamTable<BroadcastConfig>& bcast_table() {
+  using C = BroadcastConfig;
+  static const ParamTable<C> table = list_shared(
+      ParamTable<C>{}
+          .bind("broadcast_period", "surplus flood interval per site",
+                &C::broadcast_period)
+          .bind("max_attempts", "focused-addressing offers per job",
+                &C::max_attempts)
+          .bind("surplus_window",
+                "fixed observation window for flooded surpluses",
+                &C::surplus_window)
+          .bind("stop_with_arrivals",
+                "cease broadcasting after the last arrival",
+                &C::stop_with_arrivals)
+          .include(sched_table(), &C::sched));
+  return table;
+}
+
+const ParamTable<OffloadConfig>& offload_table() {
+  using C = OffloadConfig;
+  static const ParamTable<C> table = list_shared(
+      ParamTable<C>{}
+          .bind("h", "sphere radius the offers are confined to",
+                &C::sphere_radius_h)
+          .bind("max_attempts", "offers before giving up (BID)",
+                &C::max_attempts)
+          .bind("seed", "RANDOM pick stream", &C::seed)
+          .include(sched_table(), &C::sched));
+  return table;
+}
+
+namespace {
 
 class LocalPolicy final : public Policy {
  public:
@@ -31,18 +87,11 @@ class LocalPolicy final : public Policy {
            "(§5 test, no cooperation)";
   }
   const ParamSchema& describe_params() const override {
-    static const ParamSchema schema = [] {
-      ParamSchema s;
-      add_sched_params(s);
-      load::add_workload_params(s);
-      fault::add_crash_params(s);
-      return s;
-    }();
-    return schema;
+    return schema_of<local_table>();
   }
   RunMetrics run(const Topology& topo, const std::vector<JobArrival>& arrivals,
                  const ParamMap& params) const override {
-    return run_local_only(topo, arrivals, sched_config_from(params),
+    return run_local_only(topo, arrivals, local_table().decode(params),
                           crash_plan(params, topo, arrivals));
   }
 };
@@ -55,25 +104,11 @@ class CentralPolicy final : public Policy {
            "(upper bound)";
   }
   const ParamSchema& describe_params() const override {
-    static const ParamSchema schema = [] {
-      ParamSchema s;
-      s.add_int("h", -1,
-                "restrict candidates to the arrival site's h-hop sphere "
-                "(-1 = whole network)");
-      add_sched_params(s);
-      load::add_workload_params(s);
-      fault::add_crash_params(s);
-      return s;
-    }();
-    return schema;
+    return schema_of<central_table>();
   }
   RunMetrics run(const Topology& topo, const std::vector<JobArrival>& arrivals,
                  const ParamMap& params) const override {
-    CentralizedConfig cfg;
-    cfg.sched = sched_config_from(params);
-    const auto h = params.get_int("h", -1);
-    cfg.sphere_radius_h = h < 0 ? CentralizedConfig::kNoRadiusLimit
-                                : static_cast<std::size_t>(h);
+    CentralizedConfig cfg = central_table().decode(params);
     cfg.faults = crash_plan(params, topo, arrivals);
     return run_centralized(topo, arrivals, cfg);
   }
@@ -87,33 +122,11 @@ class BcastPolicy final : public Policy {
            "addressing ([4])";
   }
   const ParamSchema& describe_params() const override {
-    static const ParamSchema schema = [] {
-      ParamSchema s;
-      s.add_double("broadcast_period", 25.0,
-                   "surplus flood interval per site")
-          .add_int("max_attempts", 3, "focused-addressing offers per job")
-          .add_double("surplus_window", 100.0,
-                      "fixed observation window for flooded surpluses")
-          .add_bool("stop_with_arrivals", true,
-                    "cease broadcasting after the last arrival");
-      add_sched_params(s);
-      load::add_workload_params(s);
-      fault::add_crash_params(s);
-      return s;
-    }();
-    return schema;
+    return schema_of<bcast_table>();
   }
   RunMetrics run(const Topology& topo, const std::vector<JobArrival>& arrivals,
                  const ParamMap& params) const override {
-    BroadcastConfig cfg;
-    cfg.sched = sched_config_from(params);
-    cfg.broadcast_period =
-        params.get_double("broadcast_period", cfg.broadcast_period);
-    cfg.max_attempts = static_cast<std::size_t>(params.get_int(
-        "max_attempts", static_cast<std::int64_t>(cfg.max_attempts)));
-    cfg.surplus_window = params.get_double("surplus_window", cfg.surplus_window);
-    cfg.stop_with_arrivals =
-        params.get_bool("stop_with_arrivals", cfg.stop_with_arrivals);
+    BroadcastConfig cfg = bcast_table().decode(params);
     cfg.faults = crash_plan(params, topo, arrivals);
     return run_broadcast(topo, arrivals, cfg);
   }
@@ -126,29 +139,12 @@ class OffloadFamilyPolicy : public Policy {
   explicit OffloadFamilyPolicy(OffloadPolicy pick) : pick_(pick) {}
 
   const ParamSchema& describe_params() const override {
-    static const ParamSchema schema = [] {
-      ParamSchema s;
-      s.add_int("h", 2, "sphere radius the offers are confined to")
-          .add_int("max_attempts", 3, "offers before giving up (BID)")
-          .add_int("seed", 7, "RANDOM pick stream");
-      add_sched_params(s);
-      load::add_workload_params(s);
-      fault::add_crash_params(s);
-      return s;
-    }();
-    return schema;
+    return schema_of<offload_table>();
   }
   RunMetrics run(const Topology& topo, const std::vector<JobArrival>& arrivals,
                  const ParamMap& params) const override {
-    OffloadConfig cfg;
+    OffloadConfig cfg = offload_table().decode(params);
     cfg.policy = pick_;
-    cfg.sched = sched_config_from(params);
-    cfg.sphere_radius_h = static_cast<std::size_t>(params.get_int(
-        "h", static_cast<std::int64_t>(cfg.sphere_radius_h)));
-    cfg.max_attempts = static_cast<std::size_t>(params.get_int(
-        "max_attempts", static_cast<std::int64_t>(cfg.max_attempts)));
-    cfg.seed = static_cast<std::uint64_t>(
-        params.get_int("seed", static_cast<std::int64_t>(cfg.seed)));
     cfg.faults = crash_plan(params, topo, arrivals);
     return run_offload(topo, arrivals, cfg);
   }

@@ -1,135 +1,127 @@
-// The paper's RTDS protocol as a Policy. The schema subsumes SystemConfig:
-// every key maps onto one SystemConfig / RtdsConfig / MapperConfig field
-// and every default equals the struct default, so an empty ParamMap is
-// exactly `RtdsSystem(topo, SystemConfig{})`.
-#include "core/rtds_system.hpp"
+// The paper's RTDS protocol as a Policy: rtds_table() binds every key to
+// one SystemConfig / RtdsConfig / MapperConfig field, so an empty ParamMap
+// is exactly `RtdsSystem(topo, SystemConfig{})`.
 #include "fault/fault_params.hpp"
 #include "load/load_params.hpp"
 #include "policy/policy.hpp"
 #include "policy/rtds_params.hpp"
-#include "policy/sched_params.hpp"
 
 namespace rtds::policy {
 
-namespace {
-
-ParamSchema make_rtds_schema() {
-  ParamSchema schema;
-  schema
-      .add_int("h", 2, "PCS sphere radius in hops (§6)")
-      .add_enum("enroll", "nack", {"nack", "timeout"},
-                "§8 enrollment completion rule for locked sites")
-      .add_enum("gate", "critical_path",
-                {"none", "critical_path", "protocol_aware"},
-                "§9 pre-enrollment feasibility gate")
-      .add_double("enroll_timeout_slack", 1.0,
-                  "enroll=timeout: slack added to the 2×radius RTT bound")
-      .add_double("mapper_compute_time", 0.0,
-                  "simulated Trial-Mapping construction latency (§13)")
-      .add_double("overhead_factor", 1.0,
-                  "multiplier on the 3×eccentricity protocol-overhead "
-                  "charge")
-      .add_double("overhead_slack", 0.0,
-                  "additive protocol-overhead slack (absorbs contention)")
-      .add_double("min_surplus", 0.02,
-                  "sites below this surplus get no logical processor")
-      .add_bool("job_window_surplus", true,
-                "report surplus over [now, job deadline] instead of the "
-                "fixed window")
-      .add_bool("initiator_local_knowledge", false,
-                "§13: map the initiator against its exact idle intervals")
-      .add_enum("task_priority", "bottom_level",
-                {"bottom_level", "cost", "fifo"},
-                "§9 mapper task-selection heuristic")
-      .add_bool("busyness_weighted_laxity", false,
-                "§13: scatter case-iii laxity by logical-processor busyness")
-      .add_bool("account_data_volumes", false,
-                "§13: charge data_volume / throughput on data-bearing arcs")
-      .add_double("link_throughput", 0.0,
-                  "throughput for account_data_volumes (must be > 0 when "
-                  "enabled)")
-      .add_bool("reject_infeasible_windows", true,
-                "defensively reject mappings whose adjusted windows cannot "
-                "hold their task")
-      .add_enum("transport", "ideal", {"ideal", "contended"},
-                "message transport model")
-      .add_double("bandwidth", 100.0,
-                  "transport=contended: link bandwidth in size units per "
-                  "time unit")
-      .add_bool("measure_pcs_build", false,
-                "also run the §7 distributed APSP as real messages")
-      .add_bool("check_invariants", false,
-                "run the §12 runtime invariant checker (pure observer; "
-                "also enabled by the CLIs' --check-invariants)")
-      .add_int("shed.cap", 0,
-               "overload control: bounded admission-queue capacity "
-               "(0 = unbounded, the paper's protocol)")
-      .add_enum("shed.policy", "drop_newest",
-                {"drop_newest", "drop_lowest_laxity", "reject_enroll"},
-                "what a full admission queue sheds (shed.cap > 0 only)");
-  add_sched_params(schema);
-  load::add_workload_params(schema);
-  // rtds is the only family on the simulated transport, so it gets the
-  // full network-fault surface (link failures, drops, extra delay) on top
-  // of the crash process every policy shares.
-  fault::add_fault_params(schema);
-  return schema;
+const ParamTable<LocalSchedulerConfig>& sched_table() {
+  using C = LocalSchedulerConfig;
+  static const ParamTable<C> table =
+      ParamTable<C>{}
+          .bind_enum("admission", {"edf", "exact", "preemptive"},
+                     "§5 local admission test (greedy EDF, exact B&B, "
+                     "preemptive EDF)",
+                     &C::policy)
+          .bind("exact_max_tasks",
+                "B&B size cap for admission=exact; larger sets fall back to "
+                "EDF",
+                &C::exact_max_tasks)
+          .bind("observation_window", "W in the §2 surplus definition",
+                &C::observation_window);
+  return table;
 }
 
-}  // namespace
+const ParamTable<SystemConfig>& rtds_table() {
+  using S = SystemConfig;
+  using N = RtdsConfig;
+  using M = MapperConfig;
+  constexpr auto node = &S::node;
+  constexpr auto mapper = &N::mapper;
+  static const ParamTable<S> table =
+      ParamTable<S>{}
+          .bind("h", "PCS sphere radius in hops (§6)", node,
+                &N::sphere_radius_h)
+          .bind_enum("enroll", {"nack", "timeout"},
+                     "§8 enrollment completion rule for locked sites", node,
+                     &N::enroll_policy)
+          .bind_enum("gate", {"none", "critical_path", "protocol_aware"},
+                     "§9 pre-enrollment feasibility gate", node,
+                     &N::enroll_gate)
+          .bind("enroll_timeout_slack",
+                "enroll=timeout: slack added to the 2×radius RTT bound", node,
+                &N::enroll_timeout_slack)
+          .bind("mapper_compute_time",
+                "simulated Trial-Mapping construction latency (§13)", node,
+                &N::mapper_compute_time)
+          .bind("overhead_factor",
+                "multiplier on the 3×eccentricity protocol-overhead charge",
+                node, &N::protocol_overhead_factor)
+          .bind("overhead_slack",
+                "additive protocol-overhead slack (absorbs contention)", node,
+                &N::protocol_overhead_slack)
+          .bind("min_surplus",
+                "sites below this surplus get no logical processor", node,
+                &N::min_surplus)
+          .bind("job_window_surplus",
+                "report surplus over [now, job deadline] instead of the "
+                "fixed window",
+                node, &N::job_window_surplus)
+          .bind("initiator_local_knowledge",
+                "§13: map the initiator against its exact idle intervals",
+                node, &N::initiator_local_knowledge)
+          .bind_enum("task_priority", {"bottom_level", "cost", "fifo"},
+                     "§9 mapper task-selection heuristic", node, mapper,
+                     &M::task_priority)
+          .bind("busyness_weighted_laxity",
+                "§13: scatter case-iii laxity by logical-processor busyness",
+                node, mapper, &M::busyness_weighted_laxity)
+          .bind("account_data_volumes",
+                "§13: charge data_volume / throughput on data-bearing arcs",
+                node, mapper, &M::account_data_volumes)
+          .bind("link_throughput",
+                "throughput for account_data_volumes (must be > 0 when "
+                "enabled)",
+                node, mapper, &M::link_throughput)
+          .bind("reject_infeasible_windows",
+                "defensively reject mappings whose adjusted windows cannot "
+                "hold their task",
+                node, mapper, &M::reject_infeasible_windows)
+          .bind_enum("transport", {"ideal", "contended"},
+                     "message transport model", &S::transport_model)
+          .bind("bandwidth",
+                "transport=contended: link bandwidth in size units per time "
+                "unit",
+                &S::link_bandwidth)
+          .bind("measure_pcs_build",
+                "also run the §7 distributed APSP as real messages",
+                &S::measure_pcs_build_cost)
+          .bind("check_invariants",
+                "run the §12 runtime invariant checker (pure observer; also "
+                "enabled by the CLIs' --check-invariants)",
+                &S::check_invariants)
+          // Overload control (src/load/). cap 0 keeps the exact legacy path.
+          .bind("shed.cap",
+                "overload control: bounded admission-queue capacity (0 = "
+                "unbounded, the paper's protocol)",
+                node, &N::admission_queue_cap)
+          .bind_enum("shed.policy",
+                     {"drop_newest", "drop_lowest_laxity", "reject_enroll"},
+                     "what a full admission queue sheds (shed.cap > 0 only)",
+                     node, &N::shed_policy)
+          .include(sched_table(), node, &N::sched)
+          .list(load::workload_table())
+          // rtds is the only family on the simulated transport, so it gets
+          // the full network-fault surface (link failures, drops, extra
+          // delay) on top of the crash process every policy shares.
+          .list(fault::fault_table())
+          // §12 hardening knobs (inert with an empty fault plan: no retries
+          // are ever armed, so hardened faultless runs stay bit-identical).
+          .bind("faults.retransmit",
+                "ack+retransmit unanswered protocol messages with capped "
+                "exponential backoff",
+                node, &N::retransmit)
+          .bind("faults.retransmit_tries",
+                "max retransmissions per unanswered message", node,
+                &N::retransmit_tries);
+  return table;
+}
 
-SystemConfig rtds_system_config_from(const ParamMap& p) {
-  SystemConfig cfg;
-  cfg.node.sphere_radius_h = static_cast<std::size_t>(
-      p.get_int("h", static_cast<std::int64_t>(cfg.node.sphere_radius_h)));
-  cfg.node.sched = sched_config_from(p);
-  cfg.node.enroll_policy = static_cast<EnrollPolicy>(
-      p.get_enum("enroll", static_cast<std::size_t>(cfg.node.enroll_policy)));
-  cfg.node.enroll_gate = static_cast<EnrollGate>(
-      p.get_enum("gate", static_cast<std::size_t>(cfg.node.enroll_gate)));
-  cfg.node.enroll_timeout_slack =
-      p.get_double("enroll_timeout_slack", cfg.node.enroll_timeout_slack);
-  cfg.node.mapper_compute_time =
-      p.get_double("mapper_compute_time", cfg.node.mapper_compute_time);
-  cfg.node.protocol_overhead_factor =
-      p.get_double("overhead_factor", cfg.node.protocol_overhead_factor);
-  cfg.node.protocol_overhead_slack =
-      p.get_double("overhead_slack", cfg.node.protocol_overhead_slack);
-  cfg.node.min_surplus = p.get_double("min_surplus", cfg.node.min_surplus);
-  cfg.node.job_window_surplus =
-      p.get_bool("job_window_surplus", cfg.node.job_window_surplus);
-  cfg.node.initiator_local_knowledge = p.get_bool(
-      "initiator_local_knowledge", cfg.node.initiator_local_knowledge);
-
-  cfg.node.mapper.task_priority = static_cast<TaskPriority>(p.get_enum(
-      "task_priority", static_cast<std::size_t>(cfg.node.mapper.task_priority)));
-  cfg.node.mapper.busyness_weighted_laxity = p.get_bool(
-      "busyness_weighted_laxity", cfg.node.mapper.busyness_weighted_laxity);
-  cfg.node.mapper.account_data_volumes = p.get_bool(
-      "account_data_volumes", cfg.node.mapper.account_data_volumes);
-  cfg.node.mapper.link_throughput =
-      p.get_double("link_throughput", cfg.node.mapper.link_throughput);
-  cfg.node.mapper.reject_infeasible_windows = p.get_bool(
-      "reject_infeasible_windows", cfg.node.mapper.reject_infeasible_windows);
-
-  cfg.transport_model = static_cast<TransportModel>(
-      p.get_enum("transport", static_cast<std::size_t>(cfg.transport_model)));
-  cfg.link_bandwidth = p.get_double("bandwidth", cfg.link_bandwidth);
-  cfg.measure_pcs_build_cost =
-      p.get_bool("measure_pcs_build", cfg.measure_pcs_build_cost);
-  cfg.check_invariants = p.get_bool("check_invariants", cfg.check_invariants);
-  // §12 hardening knobs (inert with an empty fault plan: no retries are
-  // ever armed, so hardened faultless runs stay bit-identical).
-  cfg.node.retransmit = p.get_bool("faults.retransmit", cfg.node.retransmit);
-  cfg.node.retransmit_tries = static_cast<int>(p.get_int(
-      "faults.retransmit_tries",
-      static_cast<std::int64_t>(cfg.node.retransmit_tries)));
-  // Overload control (src/load/). cap 0 keeps the exact legacy code path.
-  cfg.node.admission_queue_cap = static_cast<std::size_t>(p.get_int(
-      "shed.cap", static_cast<std::int64_t>(cfg.node.admission_queue_cap)));
-  cfg.node.shed_policy = static_cast<ShedPolicy>(p.get_enum(
-      "shed.policy", static_cast<std::size_t>(cfg.node.shed_policy)));
-  return cfg;
+SystemConfig rtds_system_config_from(const ParamMap& params) {
+  return rtds_table().decode(params);
 }
 
 namespace {
@@ -142,8 +134,7 @@ class RtdsPolicy final : public Policy {
            "Trial-Mapping, validation, maximum coupling, dispatch";
   }
   const ParamSchema& describe_params() const override {
-    static const ParamSchema schema = make_rtds_schema();
-    return schema;
+    return schema_of<rtds_table>();
   }
   RunMetrics run(const Topology& topo, const std::vector<JobArrival>& arrivals,
                  const ParamMap& params) const override {

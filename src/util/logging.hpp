@@ -1,8 +1,9 @@
 // Minimal leveled logger for protocol tracing.
 //
-// The RTDS node state machine can emit a per-message trace (used by
-// bench_fig1_protocol to reproduce the paper's Figure 1 flow); everything
-// defaults to silent so simulations stay fast.
+// The RTDS node state machine can emit a per-message trace (used by the
+// fig1_protocol report, `rtds_exp --report=fig1_protocol`, to reproduce the
+// paper's Figure 1 flow); everything defaults to silent so simulations
+// stay fast.
 #pragma once
 
 #include <functional>
