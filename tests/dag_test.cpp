@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "dag/analysis.hpp"
 #include "dag/dot.hpp"
@@ -257,6 +260,70 @@ TEST(Generators, RandomDagEdgeMonotone) {
   const Dag sparse = make_random_dag(30, 0.05, CostRange{1.0, 2.0}, rng);
   const Dag dense = make_random_dag(30, 0.6, CostRange{1.0, 2.0}, rng);
   EXPECT_LT(sparse.arc_count(), dense.arc_count());
+}
+
+// Every field a finalized Dag exposes, doubles in hexfloat: costs, labels,
+// arcs with their volumes, the pred/succ CSR rows, the topological order,
+// sources, sinks, bottom levels and the critical path.
+std::string describe(const Dag& dag) {
+  std::ostringstream os;
+  os << std::hexfloat << dag.task_count() << ':';
+  for (TaskId t = 0; t < dag.task_count(); ++t)
+    os << dag.cost(t) << '/' << dag.task(t).label << ',';
+  os << '|';
+  for (const auto& a : dag.arcs())
+    os << a.from << '>' << a.to << '=' << a.data_volume << ',';
+  for (TaskId t = 0; t < dag.task_count(); ++t) {
+    os << "|p";
+    for (TaskId p : dag.predecessors(t)) os << p << ',';
+    os << 's';
+    for (TaskId s : dag.successors(t)) os << s << ',';
+  }
+  const auto list = [&os](const char* tag, const std::vector<TaskId>& ids) {
+    os << tag;
+    for (TaskId t : ids) os << t << ',';
+  };
+  list("|topo", dag.topological_order());
+  list("|src", dag.sources());
+  list("|snk", dag.sinks());
+  os << "|bl";
+  for (Time b : dag.bottom_levels()) os << b << ',';
+  os << "|cp" << dag.critical_path() << '\n';
+  return os.str();
+}
+
+// FNV-1a over the description of every generated DAG: each shape at 1–16
+// requested tasks and 20 seeds, the volume-decorated copy of each, and
+// make_random_dag directly (its arcs are not in id order). Pins the
+// generators and finalize() byte for byte.
+TEST(Generators, GeneratedDagsArePinned) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto feed = [&h](const Dag& dag) {
+    for (const unsigned char c : describe(dag)) {
+      h ^= c;
+      h *= 1099511628211ull;
+    }
+  };
+  feed(paper_example());
+  for (int s = 0; s <= static_cast<int>(DagShape::kStencil); ++s) {
+    for (std::size_t n = 1; n <= 16; ++n) {
+      for (std::uint64_t seed = 0; seed < 20; ++seed) {
+        Rng rng(seed * 131 + n);
+        const Dag dag =
+            make_shape(static_cast<DagShape>(s), n, CostRange{1.0, 9.0}, rng);
+        feed(dag);
+        feed(decorate_volumes(dag, 0.5, 4.0, rng));
+      }
+    }
+  }
+  for (std::size_t n = 1; n <= 16; ++n) {
+    for (std::uint64_t seed = 0; seed < 20; ++seed) {
+      Rng rng(seed * 977 + n);
+      for (const double p : {0.0, 0.3, 0.8})
+        feed(make_random_dag(n, p, CostRange{1.0, 9.0}, rng));
+    }
+  }
+  EXPECT_EQ(h, 10114931922485299920ull);
 }
 
 // ----------------------------------------------------------------- dot ----

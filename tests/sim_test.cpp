@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <queue>
 #include <string>
 #include <vector>
 
 #include "net/generators.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace rtds {
 namespace {
@@ -74,6 +77,183 @@ TEST(Simulator, ZeroDelaySelfScheduleAdvancesQueue) {
   sim.run();
   EXPECT_EQ(fired, 1);
   EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+}
+
+// ---------------------------------------------------- pop-order property ----
+
+// Mirrors every schedule into a std::priority_queue over (time, seq), the
+// order the simulator promises, and checks each fired event against the
+// reference's top. An event's children are drawn from the model's RNG when
+// it fires, so both sides keep scheduling the same events exactly as long as
+// the execution orders agree.
+class PopOrderModel {
+ public:
+  PopOrderModel(std::uint64_t seed, std::size_t budget)
+      : rng_(seed), budget_(budget) {}
+
+  Simulator sim;
+
+  void post(Time at) { post_id(at, next_id_++); }
+
+  /// `count` events at now + a mixed delay each: ties, zero delays, short
+  /// message-like and long completion-like delays.
+  void post_batch(std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) post(sim.now() + draw_delay());
+  }
+
+  /// Fires an extra bulk batch from inside the event that fires
+  /// `trigger`-th.
+  void bulk_inside_at(std::size_t trigger, std::size_t count) {
+    bulk_trigger_ = trigger;
+    bulk_count_ = count;
+  }
+
+  void expect_pending_matches() const {
+    const auto ref = ref_contents();
+    const auto got = sim.pending_events();
+    ASSERT_EQ(sim.pending(), ref.size());
+    ASSERT_EQ(got.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      ASSERT_EQ(got[i].seq, ref[i].seq) << "pending #" << i;
+      ASSERT_EQ(got[i].at, ref[i].at) << "pending #" << i;
+    }
+  }
+
+  /// After run_until(t_end): everything left lies beyond the cut-off.
+  void expect_cut_at(Time t_end) const {
+    if (!ref_.empty()) {
+      EXPECT_FALSE(time_le(ref_.top().at, t_end));
+    }
+    EXPECT_EQ(sim.has_events(), !ref_.empty());
+  }
+
+  /// The snapshot restore path: clear the queue, restore the clock (which
+  /// may lie before the last executed event) and re-post the saved events
+  /// in their (time, seq) order under fresh sequence numbers.
+  void checkpoint_round_trip(Time restore_now, std::uint64_t seq_gap) {
+    const auto saved = ref_contents();
+    sim.clear_pending();
+    EXPECT_FALSE(sim.has_events());
+    ref_ = {};
+    sim.restore_clock(restore_now, sim.next_seq() + seq_gap, fired_);
+    ref_seq_ = sim.next_seq();
+    for (const Ref& r : saved) post_id(r.at, r.id);
+  }
+
+  bool diverged() const { return diverged_; }
+  std::size_t fired() const { return fired_; }
+  std::size_t reference_size() const { return ref_.size(); }
+
+ private:
+  struct Ref {
+    Time at;
+    std::uint64_t seq;
+    std::uint64_t id;
+  };
+  struct Later {
+    bool operator()(const Ref& a, const Ref& b) const {
+      return a.at > b.at || (a.at == b.at && a.seq > b.seq);
+    }
+  };
+
+  Time draw_delay() {
+    switch (rng_.uniform_int(0, 6)) {
+      case 0: return 0.0;
+      case 1: return 1.0;
+      case 2: return 0.25 * static_cast<double>(rng_.uniform_int(1, 8));
+      case 3: return rng_.uniform(0.5, 2.0);
+      case 4: return rng_.uniform(50.0, 200.0);
+      case 5: return rng_.uniform(0.0, 1e-3);
+      default: return 100.0;
+    }
+  }
+
+  void post_id(Time at, std::uint64_t id) {
+    if (sim.next_seq() != ref_seq_) {
+      diverge("sequence numbers out of step");
+      return;
+    }
+    ref_.push(Ref{at, ref_seq_++, id});
+    sim.schedule_at(at, [this, id] { fire(id); });
+  }
+
+  void fire(std::uint64_t id) {
+    if (diverged_) return;
+    if (ref_.empty()) return diverge("fired with an empty reference");
+    const Ref top = ref_.top();
+    ref_.pop();
+    if (top.id != id || top.at != sim.now())
+      return diverge("fired out of (time, seq) order");
+    ++fired_;
+    if (fired_ == bulk_trigger_) post_batch(bulk_count_);
+    if (next_id_ >= budget_) return;
+    const auto kids = rng_.uniform_int(0, 3);  // 0, 1, 1, 2
+    for (std::int64_t k = 0; k < (kids == 3 ? 2 : kids == 0 ? 0 : 1); ++k)
+      post(sim.now() + draw_delay());
+  }
+
+  void diverge(const char* what) {
+    if (!diverged_)
+      ADD_FAILURE() << what << " after " << fired_ << " events at t="
+                    << sim.now();
+    diverged_ = true;
+  }
+
+  std::vector<Ref> ref_contents() const {
+    auto copy = ref_;
+    std::vector<Ref> out;
+    for (; !copy.empty(); copy.pop()) out.push_back(copy.top());
+    return out;
+  }
+
+  Rng rng_;
+  std::size_t budget_;
+  std::priority_queue<Ref, std::vector<Ref>, Later> ref_;
+  std::uint64_t ref_seq_ = 0;
+  std::uint64_t next_id_ = 0;
+  std::size_t fired_ = 0;
+  std::size_t bulk_trigger_ = 0;
+  std::size_t bulk_count_ = 0;
+  bool diverged_ = false;
+};
+
+TEST(SimulatorProperty, PopOrderMatchesPriorityQueueReference) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    PopOrderModel m(seed, 80'000);
+    m.post(-0.0);
+    m.post(0.0);
+    m.post(-0.0);
+    m.post(5e-324);
+    m.post_batch(12'000);  // a bulk load before the first step
+    m.bulk_inside_at(20'000, 10'000);
+
+    m.sim.run_until(3.0);
+    m.expect_cut_at(3.0);
+    m.expect_pending_matches();
+
+    m.sim.run_chunk(5'000);
+    m.expect_pending_matches();
+    m.post_batch(10'000);  // a bulk load onto a live queue
+    const Time cut = m.sim.now() + 40.0;
+    m.sim.run_until(cut);
+    m.expect_cut_at(cut);
+
+    m.checkpoint_round_trip(m.sim.now(), 17);
+    m.expect_pending_matches();
+    m.sim.run_chunk(3'000);
+    // Restore to a clock before the last executed event, then post below it.
+    m.checkpoint_round_trip(m.sim.now() / 2, 1);
+    m.post_batch(200);
+    m.expect_pending_matches();
+
+    m.sim.run();
+    EXPECT_FALSE(m.diverged());
+    EXPECT_EQ(m.reference_size(), 0u);
+    EXPECT_FALSE(m.sim.has_events());
+    EXPECT_EQ(m.sim.executed_events(), m.fired());
+    EXPECT_GT(m.fired(), 80'000u);
+  }
 }
 
 // ------------------------------------------------------------- network ----
