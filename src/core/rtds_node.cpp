@@ -290,10 +290,9 @@ void RtdsNode::begin_acs_construction(Initiation& init) {
   if (cfg_.enroll_policy == EnrollPolicy::kTimeout || cfg_.fault_tolerant) {
     Time timeout = 2.0 * max_delay + cfg_.enroll_timeout_slack;
     // With retransmissions armed the round must outlast the whole backoff
-    // schedule (rto + 2rto + ... ~= rto * (2^(tries+1) - 1) plus jitter),
-    // or the timeout would fire while resends are still recovering replies.
-    if (retransmit_enabled())
-      timeout *= static_cast<double>(1 << (cfg_.retransmit_tries + 1));
+    // schedule, or the timeout would fire while resends are still
+    // recovering replies.
+    if (retransmit_enabled()) timeout *= retransmit_stretch();
     sim_.schedule_in(timeout, [this, job]() { on_enroll_timeout(job); });
     if (sim_.recording())
       sim_.annotate(
@@ -485,8 +484,7 @@ void RtdsNode::begin_validation(Initiation& init) {
     Time timeout = 2.0 * max_delay + cfg_.enroll_timeout_slack +
                    cfg_.protocol_overhead_slack;
     // Outlast the retransmit backoff schedule (see begin_acs_construction).
-    if (retransmit_enabled())
-      timeout *= static_cast<double>(1 << (cfg_.retransmit_tries + 1));
+    if (retransmit_enabled()) timeout *= retransmit_stretch();
     sim_.schedule_in(timeout, [this, job]() { on_validate_timeout(job); });
     if (sim_.recording())
       sim_.annotate(

@@ -18,7 +18,9 @@
 // freezing the whole sphere for the full protocol round.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <functional>
 #include <map>
 #include <memory>
@@ -254,6 +256,14 @@ class RtdsNode {
   // --- §12 hardening: ack + retransmit with capped exponential backoff ---
   bool retransmit_enabled() const {
     return cfg_.fault_tolerant && cfg_.retransmit;
+  }
+  /// 2^(retransmit_tries + 1): the factor a round timeout is stretched by
+  /// so it outlasts the whole backoff schedule (rto + 2rto + ... ~=
+  /// rto * (2^(tries+1) - 1) plus jitter). A double, so every tries value
+  /// the knob accepts is defined (beyond 1023 the stretch is infinite).
+  double retransmit_stretch() const {
+    return std::ldexp(1.0, static_cast<int>(std::min(cfg_.retransmit_tries,
+                                                     1024u)) + 1);
   }
   /// Tracks `payload` (an unstamped template — send() stamps a fresh
   /// sequence per resend) for retransmission to `to` until cancelled;

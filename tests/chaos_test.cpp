@@ -287,6 +287,25 @@ TEST(HardenedIdleParity, RetransmitAndCheckerAreBitInvisibleWhenFaultless) {
   EXPECT_EQ(hardened.invariant_violations, 0u);
 }
 
+// faults.retransmit_tries takes any unsigned value, and the enroll and
+// validate round timeouts are stretched by 2^(tries + 1): that must stay
+// defined far past 31 (the sanitized CI job runs this under UBSan).
+TEST(HardenedRetransmit, FortyTriesRunToCompletion) {
+  policy::register_builtin_policies();
+  exp::ConditionSpec cs;
+  cs.sites = 16;
+  cs.horizon = 150.0;
+  const exp::Condition c = exp::make_condition(cs);
+  const auto policy = policy::PolicyRegistry::instance().create("rtds");
+  const RunMetrics m = policy->run(
+      c.topo, c.arrivals,
+      policy->parse_params({"faults.retransmit=true",
+                            "faults.retransmit_tries=40", "faults.drop=0.05"}));
+  EXPECT_GT(m.arrived, 0u);
+  EXPECT_EQ(m.accepted() + m.rejected + m.jobs_lost, m.arrived);
+  EXPECT_EQ(m.deadline_misses, 0u);
+}
+
 // -------------------------------------------------- chaos determinism --
 
 std::vector<std::string> chaos_params(std::uint64_t seed) {
