@@ -1,7 +1,9 @@
 #include "dag/dag.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
+
+#include "util/inline_vec.hpp"
 
 namespace rtds {
 
@@ -26,61 +28,85 @@ void Dag::add_arc(TaskId from, TaskId to, double data_volume) {
 void Dag::finalize() {
   RTDS_REQUIRE_MSG(!finalized_, "Dag already finalized");
   const auto n = tasks_.size();
+  const auto m = arcs_.size();
 
-  // CSR adjacency: count degrees, prefix-sum offsets, scatter, sort rows.
-  pred_off_.assign(n + 1, 0);
-  succ_off_.assign(n + 1, 0);
+  // CSR adjacency: count degrees, prefix-sum, scatter (each offset doubles
+  // as its row's cursor, then shifts back one row), sort rows.
+  csr_.assign(2 * (n + 1) + 2 * m, 0);
+  std::uint32_t* const pred_off = csr_.data();
+  std::uint32_t* const succ_off = pred_off + n + 1;
+  TaskId* const pred = csr_.data() + pred_base();
+  TaskId* const succ = csr_.data() + succ_base();
+  bool forward = true;  // every arc from a lower id to a higher one
   for (const auto& a : arcs_) {
-    ++succ_off_[a.from + 1];
-    ++pred_off_[a.to + 1];
+    ++succ_off[a.from + 1];
+    ++pred_off[a.to + 1];
+    forward = forward && a.from < a.to;
   }
   for (std::size_t t = 1; t <= n; ++t) {
-    pred_off_[t] += pred_off_[t - 1];
-    succ_off_[t] += succ_off_[t - 1];
+    pred_off[t] += pred_off[t - 1];
+    succ_off[t] += succ_off[t - 1];
   }
-  pred_data_.resize(arcs_.size());
-  succ_data_.resize(arcs_.size());
-  {
-    std::vector<std::uint32_t> pc(pred_off_.begin(), pred_off_.end() - 1);
-    std::vector<std::uint32_t> sc(succ_off_.begin(), succ_off_.end() - 1);
-    for (const auto& a : arcs_) {
-      succ_data_[sc[a.from]++] = a.to;
-      pred_data_[pc[a.to]++] = a.from;
-    }
+  for (const auto& a : arcs_) {
+    succ[succ_off[a.from]++] = a.to;
+    pred[pred_off[a.to]++] = a.from;
   }
+  for (std::size_t t = n; t > 0; --t) {
+    pred_off[t] = pred_off[t - 1];
+    succ_off[t] = succ_off[t - 1];
+  }
+  pred_off[0] = succ_off[0] = 0;
   for (TaskId t = 0; t < n; ++t) {
-    std::sort(pred_data_.begin() + pred_off_[t],
-              pred_data_.begin() + pred_off_[t + 1]);
-    std::sort(succ_data_.begin() + succ_off_[t],
-              succ_data_.begin() + succ_off_[t + 1]);
+    std::sort(pred + pred_off[t], pred + pred_off[t + 1]);
+    std::sort(succ + succ_off[t], succ + succ_off[t + 1]);
   }
 
-  // Kahn's algorithm with a min-heap for a stable (id-ordered) topo order.
-  std::vector<std::size_t> indegree(n);
-  for (TaskId t = 0; t < n; ++t) indegree[t] = pred_off_[t + 1] - pred_off_[t];
-  std::priority_queue<TaskId, std::vector<TaskId>, std::greater<>> ready;
-  for (TaskId t = 0; t < n; ++t)
-    if (indegree[t] == 0) ready.push(t);
+  // Stable (id-ordered) topological order. With every arc pointing forward
+  // the id order is one, and Kahn's smallest-ready-first walk yields exactly
+  // it; otherwise run that walk with a min-heap.
   topo_.clear();
   topo_.reserve(n);
   finalized_ = true;  // successors() below requires it
-  while (!ready.empty()) {
-    const TaskId t = ready.top();
-    ready.pop();
-    topo_.push_back(t);
-    for (TaskId s : successors(t))
-      if (--indegree[s] == 0) ready.push(s);
-  }
-  if (topo_.size() != n) {
-    finalized_ = false;
-    RTDS_REQUIRE_MSG(false, "precedence graph contains a cycle");
+  if (forward) {
+    for (TaskId t = 0; t < n; ++t) topo_.push_back(t);
+  } else {
+    InlineVec<std::uint32_t, 32> indegree;
+    indegree.assign(n, 0);
+    InlineVec<TaskId, 32> ready;  // min-heap
+    for (TaskId t = 0; t < n; ++t) {
+      indegree[t] = pred_off[t + 1] - pred_off[t];
+      if (indegree[t] == 0) ready.push_back(t);
+    }
+    while (!ready.empty()) {
+      std::pop_heap(ready.begin(), ready.end(), std::greater<>{});
+      const TaskId t = *(ready.end() - 1);
+      ready.erase(ready.end() - 1);
+      topo_.push_back(t);
+      for (TaskId s : successors(t)) {
+        if (--indegree[s] == 0) {
+          ready.push_back(s);
+          std::push_heap(ready.begin(), ready.end(), std::greater<>{});
+        }
+      }
+    }
+    if (topo_.size() != n) {
+      finalized_ = false;
+      RTDS_REQUIRE_MSG(false, "precedence graph contains a cycle");
+    }
   }
 
+  std::size_t source_count = 0, sink_count = 0;
+  for (TaskId t = 0; t < n; ++t) {
+    source_count += pred_off[t] == pred_off[t + 1];
+    sink_count += succ_off[t] == succ_off[t + 1];
+  }
   sources_.clear();
   sinks_.clear();
+  sources_.reserve(source_count);
+  sinks_.reserve(sink_count);
   for (TaskId t = 0; t < n; ++t) {
-    if (pred_off_[t] == pred_off_[t + 1]) sources_.push_back(t);
-    if (succ_off_[t] == succ_off_[t + 1]) sinks_.push_back(t);
+    if (pred_off[t] == pred_off[t + 1]) sources_.push_back(t);
+    if (succ_off[t] == succ_off[t + 1]) sinks_.push_back(t);
   }
 
   bottom_levels_.assign(n, 0.0);
@@ -97,15 +123,16 @@ void Dag::finalize() {
 std::span<const TaskId> Dag::predecessors(TaskId t) const {
   require_finalized();
   RTDS_REQUIRE(t < tasks_.size());
-  return {pred_data_.data() + pred_off_[t],
-          pred_data_.data() + pred_off_[t + 1]};
+  const TaskId* const ids = csr_.data() + pred_base();
+  return {ids + csr_[t], ids + csr_[t + 1]};
 }
 
 std::span<const TaskId> Dag::successors(TaskId t) const {
   require_finalized();
   RTDS_REQUIRE(t < tasks_.size());
-  return {succ_data_.data() + succ_off_[t],
-          succ_data_.data() + succ_off_[t + 1]};
+  const TaskId* const ids = csr_.data() + succ_base();
+  const std::uint32_t* const off = csr_.data() + tasks_.size() + 1;
+  return {ids + off[t], ids + off[t + 1]};
 }
 
 double Dag::data_volume(TaskId from, TaskId to) const {
