@@ -62,6 +62,35 @@ void BM_EventQueue(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueue)->Arg(1000)->Arg(10000)->Arg(100000);
 
+/// A standing population of events, each of which schedules its successor
+/// when it fires: most after a short message-like delay, one in four after
+/// a long completion-like one.
+struct HoldLoop {
+  Simulator sim;
+  std::vector<Time> delays;
+  std::size_t next = 0;
+
+  void post() {
+    sim.schedule_in(delays[next++ % delays.size()], [this] { post(); });
+  }
+};
+
+void BM_EventQueueHold(benchmark::State& state) {
+  // The open-stream regime BM_EventQueue's bulk-then-drain never reaches:
+  // every pop is followed by one push into a population of N pending
+  // events (stream_256 holds ~2,900, scale_1024 ~4,000). Timed per event.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(5);
+  HoldLoop loop;
+  loop.delays.resize(4096);
+  for (auto& d : loop.delays)
+    d = rng.bernoulli(0.25) ? rng.uniform(20.0, 200.0) : rng.uniform(0.5, 2.0);
+  for (std::size_t i = 0; i < n; ++i) loop.post();
+  for (auto _ : state) benchmark::DoNotOptimize(loop.sim.step());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueHold)->Arg(1000)->Arg(4000);
+
 // ------------------------------------------------------------- routing ----
 
 void BM_PhasedApsp(benchmark::State& state) {
