@@ -98,7 +98,7 @@ RunMetrics run_centralized(const Topology& topo,
     // ETF list scheduling with exact idle intervals and true delays,
     // reserved straight into the live plans.
     const Dag& dag = job.dag;
-    const auto& priority = dag.bottom_levels();
+    const auto priority = dag.bottom_levels();
     std::vector<std::size_t> missing(dag.task_count());
     std::vector<TaskId> free_list;
     for (TaskId t = 0; t < dag.task_count(); ++t) {

@@ -375,7 +375,7 @@ std::optional<TrialMapping> build_trial_mapping(const MapperInput& input,
       for (TaskId t = 0; t < n; ++t) laxity[t] = budget * w[t] / total_w;
     }
     // eq. (4), reverse topological order.
-    const auto& topo = dag.topological_order();
+    const auto topo = dag.topological_order();
     for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
       const TaskId t = *it;
       if (dag.successors(t).empty()) {

@@ -5,7 +5,8 @@
 namespace rtds {
 
 std::vector<Time> bottom_levels(const Dag& dag) {
-  return dag.bottom_levels();  // copy of the finalize()-time cache
+  const auto bl = dag.bottom_levels();  // the finalize()-time cache
+  return {bl.begin(), bl.end()};
 }
 
 std::vector<Time> top_levels(const Dag& dag) {
@@ -22,7 +23,7 @@ Time critical_path_length(const Dag& dag) { return dag.critical_path(); }
 std::size_t critical_path_task_count(const Dag& dag) {
   if (dag.empty()) return 0;
   const Time cp = critical_path_length(dag);
-  const auto& bl = dag.bottom_levels();
+  const auto bl = dag.bottom_levels();
   const auto tl = top_levels(dag);
   // Longest (task-count) path among tasks lying on *some* critical path.
   // A task t is on a critical path iff tl[t] + bl[t] == cp. Count via DP over

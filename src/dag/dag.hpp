@@ -6,9 +6,12 @@
 // time = volume / link throughput.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/error.hpp"
@@ -24,11 +27,6 @@ using TaskId = std::uint32_t;
 /// Globally unique job identifier assigned by the workload source.
 using JobId = std::uint64_t;
 
-struct Task {
-  Time cost = 0.0;        ///< Computational Complexity c(t), > 0.
-  std::string label;      ///< Optional human-readable name (DOT export).
-};
-
 struct Arc {
   TaskId from = 0;
   TaskId to = 0;
@@ -38,21 +36,34 @@ struct Arc {
 /// Directed acyclic graph of tasks with a common release and deadline.
 ///
 /// Mutation is add-only (add_task / add_arc); `finalize()` freezes the graph,
-/// verifies acyclicity and caches topological order and adjacency. All query
-/// methods require a finalized DAG.
+/// verifies acyclicity and caches topological order and adjacency. All
+/// structural queries require a finalized DAG.
+///
+/// A closed run keeps every arrival's DAG resident, so a finalized Dag owns
+/// at most two exact-size heap blocks: `times_` holds the task costs and
+/// then the bottom levels, `graph_` the arcs and then 32-bit words — the
+/// CSR offsets and ids, the topological order, sources, sinks and, only
+/// when some task has a label, each label's end offset followed by the
+/// label characters. While building, `times_` has room for `2 * task_cap_`
+/// times, `graph_` for `arc_cap_` arcs, and labels wait in `label_stage_`.
 class Dag {
  public:
   Dag() = default;
+  Dag(const Dag& other);
+  Dag(Dag&& other) noexcept { swap(other); }  // leaves `other` empty
+  Dag& operator=(Dag other) noexcept {
+    swap(other);
+    return *this;
+  }
 
   /// Reserves room for `tasks` tasks and `arcs` arcs (generators that know
   /// their final size allocate once).
-  void reserve(std::size_t tasks, std::size_t arcs) {
-    tasks_.reserve(tasks);
-    arcs_.reserve(arcs);
-  }
+  void reserve(std::size_t tasks, std::size_t arcs);
 
-  /// Adds a task and returns its id. Cost must be positive.
-  TaskId add_task(Time cost, std::string label = {});
+  /// Adds a task and returns its id. Cost must be positive; a label is
+  /// optional and must not contain a newline (the text format, dag/io.hpp,
+  /// keeps one task per line).
+  TaskId add_task(Time cost, std::string_view label = {});
 
   /// Adds a precedence arc from -> to. Both ids must exist; self-loops are
   /// rejected. Duplicate arcs are idempotent.
@@ -67,13 +78,20 @@ class Dag {
 
   bool finalized() const { return finalized_; }
 
-  std::size_t task_count() const { return tasks_.size(); }
-  std::size_t arc_count() const { return arcs_.size(); }
-  bool empty() const { return tasks_.empty(); }
+  std::size_t task_count() const { return n_; }
+  std::size_t arc_count() const { return m_; }
+  bool empty() const { return n_ == 0; }
 
-  const Task& task(TaskId t) const { return tasks_.at(t); }
-  Time cost(TaskId t) const { return tasks_.at(t).cost; }
-  const std::vector<Arc>& arcs() const { return arcs_; }
+  Time cost(TaskId t) const {
+    RTDS_REQUIRE(t < n_);
+    return times_[t];
+  }
+  /// The task's label, empty when none was set.
+  std::string_view label(TaskId t) const;
+  /// Arcs in insertion order.
+  std::span<const Arc> arcs() const {
+    return {reinterpret_cast<const Arc*>(graph_.get()), m_};
+  }
 
   /// Immediate predecessors Γ⁻(t) / successors Γ⁺(t). Spans into the CSR
   /// adjacency, valid while the Dag lives and is not re-finalized.
@@ -83,19 +101,28 @@ class Dag {
   /// Data volume on arc (from, to); requires the arc to exist.
   double data_volume(TaskId from, TaskId to) const;
 
-  /// Tasks with no predecessors / successors.
-  const std::vector<TaskId>& sources() const;
-  const std::vector<TaskId>& sinks() const;
+  /// Tasks with no predecessors / successors, in id order.
+  std::span<const TaskId> sources() const {
+    require_finalized();
+    return {topo() + n_, source_count_};
+  }
+  std::span<const TaskId> sinks() const {
+    require_finalized();
+    return {topo() + n_ + source_count_, sink_count_};
+  }
 
   /// A topological order (stable: ties broken by task id).
-  const std::vector<TaskId>& topological_order() const;
+  std::span<const TaskId> topological_order() const {
+    require_finalized();
+    return {topo(), n_};
+  }
 
   /// Bottom levels b(t) = c(t) + max over successors' b, cached at
   /// finalize(): the admission tests, the mapper, and the enrollment gate
   /// all re-derived this once per job per site.
-  const std::vector<Time>& bottom_levels() const {
+  std::span<const Time> bottom_levels() const {
     require_finalized();
-    return bottom_levels_;
+    return {times_.get() + n_, n_};
   }
   /// max_t b(t) — the critical path length.
   Time critical_path() const {
@@ -110,27 +137,42 @@ class Dag {
   bool reaches(TaskId ancestor, TaskId descendant) const;
 
  private:
+  struct LabelStage {
+    std::vector<std::uint32_t> ends;  // end of each task's label in chars
+    std::string chars;
+  };
+
   void require_finalized() const {
     RTDS_REQUIRE_MSG(finalized_, "Dag must be finalize()d before queries");
   }
+  void swap(Dag& other) noexcept;
+  void reallocate_tasks(std::size_t cap);
+  void reallocate_arcs(std::size_t cap);
 
-  // CSR row bounds: predecessors of t are csr_[pred_base() + csr_[t] ..
-  // + csr_[t + 1]), successors csr_[succ_base() + csr_[n + 1 + t] ..].
-  std::size_t pred_base() const { return 2 * (tasks_.size() + 1); }
-  std::size_t succ_base() const { return pred_base() + arcs_.size(); }
+  // The words after the arcs: pred offsets (n + 1), succ offsets (n + 1),
+  // pred ids (m), succ ids (m), topological order (n), sources, sinks, and
+  // label end offsets (n) when labelled.
+  std::uint32_t* words() {
+    return reinterpret_cast<std::uint32_t*>(graph_.get() + sizeof(Arc) * m_);
+  }
+  const std::uint32_t* words() const {
+    return reinterpret_cast<const std::uint32_t*>(graph_.get() +
+                                                  sizeof(Arc) * m_);
+  }
+  const TaskId* topo() const { return words() + 2 * (n_ + 1) + 2 * m_; }
 
-  std::vector<Task> tasks_;
-  std::vector<Arc> arcs_;
-  // CSR adjacency in one allocation — pred offsets (n + 1), succ offsets
-  // (n + 1), pred ids (m), succ ids (m) — instead of one vector per task:
-  // DAG construction and copies sit on the hot path of every trial.
-  std::vector<std::uint32_t> csr_;
-  std::vector<TaskId> topo_;
-  std::vector<TaskId> sources_;
-  std::vector<TaskId> sinks_;
-  std::vector<Time> bottom_levels_;
-  Time critical_path_ = 0.0;
+  std::unique_ptr<Time[]> times_;
+  std::unique_ptr<std::byte[]> graph_;
+  std::unique_ptr<LabelStage> label_stage_;  // building, labelled only
+  std::uint32_t n_ = 0;
+  std::uint32_t m_ = 0;
+  std::uint32_t task_cap_ = 0;
+  std::uint32_t arc_cap_ = 0;
+  std::uint32_t source_count_ = 0;
+  std::uint32_t sink_count_ = 0;
+  std::uint32_t label_chars_ = 0;  // finalized; 0 = unlabelled
   bool finalized_ = false;
+  Time critical_path_ = 0.0;
 };
 
 /// A job: a DAG instance plus its real-time parameters. Release r and

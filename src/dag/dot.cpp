@@ -8,13 +8,13 @@ void write_dot(const Dag& dag, std::ostream& os, const std::string& graph_name) 
   os << "digraph " << graph_name << " {\n";
   os << "  rankdir=TB;\n  node [shape=circle];\n";
   for (TaskId t = 0; t < dag.task_count(); ++t) {
-    const auto& task = dag.task(t);
     os << "  t" << t << " [label=\"";
-    if (!task.label.empty())
-      os << task.label;
-    else
-      os << 't' << (t + 1);
-    os << "\\nc=" << task.cost << "\"];\n";
+    if (dag.label(t).empty()) os << 't' << (t + 1);
+    for (const char c : dag.label(t)) {
+      if (c == '"' || c == '\\') os << '\\';  // DOT quoted-string escapes
+      os << c;
+    }
+    os << "\\nc=" << dag.cost(t) << "\"];\n";
   }
   for (const auto& a : dag.arcs()) {
     os << "  t" << a.from << " -> t" << a.to;

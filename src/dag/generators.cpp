@@ -244,7 +244,9 @@ Dag make_stencil(std::size_t w, std::size_t h, CostRange costs, Rng& rng) {
 Dag decorate_volumes(Dag dag, double lo, double hi, Rng& rng) {
   RTDS_REQUIRE(dag.finalized());
   RTDS_REQUIRE(lo >= 0.0);
-  for (Arc& arc : dag.arcs_) arc.data_volume = rng.uniform(lo, hi);
+  Arc* const arcs = reinterpret_cast<Arc*>(dag.graph_.get());
+  for (std::size_t i = 0; i < dag.m_; ++i)
+    arcs[i].data_volume = rng.uniform(lo, hi);
   return dag;
 }
 

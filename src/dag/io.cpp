@@ -1,5 +1,6 @@
 #include "dag/io.hpp"
 
+#include <cctype>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -22,7 +23,7 @@ void write_dag(const Dag& dag, std::ostream& os) {
   os.precision(17);
   for (TaskId t = 0; t < dag.task_count(); ++t) {
     os << "task " << t << ' ' << dag.cost(t);
-    if (!dag.task(t).label.empty()) os << ' ' << dag.task(t).label;
+    if (!dag.label(t).empty()) os << ' ' << dag.label(t);
     os << "\n";
   }
   os << "arcs " << dag.arc_count() << "\n";
@@ -70,7 +71,14 @@ Dag read_dag(std::istream& is) {
     double cost = 0.0;
     ls >> word >> id >> cost;
     if (word != "task" || ls.fail()) parse_fail(lineno, "expected 'task <id> <cost>'");
-    ls >> label;  // optional
+    // The optional label is the rest of the line after the one whitespace
+    // character that ends the cost, so it may contain spaces.
+    const int next = ls.peek();
+    if (next != std::char_traits<char>::eof()) {
+      if (!std::isspace(next)) parse_fail(lineno, "malformed task cost");
+      ls.get();
+      std::getline(ls, label);
+    }
     if (id != i) parse_fail(lineno, "task ids must be dense and in order");
     if (cost <= 0.0) parse_fail(lineno, "task cost must be positive");
     dag.add_task(cost, label);

@@ -3,7 +3,7 @@
 // Line-oriented format, stable across versions of this library:
 //   dag v1
 //   tasks <n>
-//   task <id> <cost> [label]
+//   task <id> <cost> [label]   (the label runs to the end of the line)
 //   arcs <m>
 //   arc <from> <to> <data_volume>
 //   end

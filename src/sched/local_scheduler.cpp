@@ -116,7 +116,7 @@ std::optional<std::vector<Placement>> LocalScheduler::try_accept_dag_local(
 
   // Greedy list scheduling by bottom level into idle gaps; on one site all
   // communication is free, so only ordering and gaps matter.
-  const auto& priority = dag.bottom_levels();
+  const auto priority = dag.bottom_levels();
   InlineVec<Time, 32> finish;
   finish.assign(dag.task_count(), 0.0);
   InlineVec<std::size_t, 32> missing_preds;

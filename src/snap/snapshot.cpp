@@ -399,11 +399,15 @@ template <class Ar>
 void Access::io(Ar& ar, Ref<Ar, Job> job) {
   fields(ar, job.id, job.release, job.deadline);
   bool finalized = job.dag.finalized();
+  struct Task {
+    Time cost = 0.0;
+    std::string label;
+  };
   std::vector<Task> tasks;
   std::vector<Arc> arcs;
   if constexpr (!kLoading<Ar>) {
     for (TaskId t = 0; t < job.dag.task_count(); ++t)
-      tasks.push_back(job.dag.task(t));
+      tasks.push_back({job.dag.cost(t), std::string(job.dag.label(t))});
     arcs.assign(job.dag.arcs().begin(), job.dag.arcs().end());
   }
   field(ar, finalized);
@@ -415,7 +419,7 @@ void Access::io(Ar& ar, Ref<Ar, Job> job) {
     // Rebuilt through the validating Dag API. CSR adjacency, topological
     // order and bottom levels are re-derived; finalize() is deterministic,
     // so the rebuilt caches match the originals.
-    for (Task& t : tasks) job.dag.add_task(t.cost, std::move(t.label));
+    for (const Task& t : tasks) job.dag.add_task(t.cost, t.label);
     for (const Arc& a : arcs) job.dag.add_arc(a.from, a.to, a.data_volume);
     if (finalized) job.dag.finalize();
   }

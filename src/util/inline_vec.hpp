@@ -3,13 +3,16 @@
 // The admission tests and trial plans handle a handful of tasks per call
 // but run tens of times per protocol round; their temporaries were ~40% of
 // the round's allocator traffic. Restricted to trivially copyable T so
-// growth and erase are memcpy/memmove, nothing more.
+// growth and erase are memcpy/memmove, nothing more. Storage is raw bytes:
+// an element is constructed only when written, so a fresh InlineVec costs
+// nothing however large N is or whatever default member initializers T has.
 #pragma once
 
 #include <cstddef>
 #include <cstring>
+#include <memory>
+#include <new>
 #include <type_traits>
-#include <vector>
 
 #include "util/error.hpp"
 
@@ -18,6 +21,7 @@ namespace rtds {
 template <typename T, std::size_t N>
 class InlineVec {
   static_assert(std::is_trivially_copyable_v<T>);
+  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
 
  public:
   InlineVec() = default;
@@ -35,13 +39,14 @@ class InlineVec {
 
   void push_back(const T& v) {
     if (size_ == capacity_) spill(2 * capacity_);
-    data_[size_++] = v;
+    ::new (static_cast<void*>(data_ + size_)) T(v);
+    ++size_;
   }
 
   void assign(std::size_t n, const T& v) {
     size_ = 0;  // contents need not survive the spill
     if (n > capacity_) spill(n);
-    for (std::size_t i = 0; i < n; ++i) data_[i] = v;
+    std::uninitialized_fill_n(data_, n, v);
     size_ = n;
   }
 
@@ -50,7 +55,7 @@ class InlineVec {
     RTDS_CHECK(idx <= size_);
     if (size_ == capacity_) spill(2 * capacity_);
     std::memmove(data_ + idx + 1, data_ + idx, sizeof(T) * (size_ - idx));
-    data_[idx] = v;
+    ::new (static_cast<void*>(data_ + idx)) T(v);
     ++size_;
   }
 
@@ -65,18 +70,19 @@ class InlineVec {
 
  private:
   void spill(std::size_t new_cap) {
-    std::vector<T> bigger(new_cap);
-    std::memcpy(bigger.data(), data_, sizeof(T) * size_);
-    heap_.swap(bigger);  // old heap_ (possibly data_'s target) dies after
-    data_ = heap_.data();
+    auto bigger =
+        std::make_unique_for_overwrite<std::byte[]>(sizeof(T) * new_cap);
+    std::memcpy(bigger.get(), data_, sizeof(T) * size_);
+    heap_ = std::move(bigger);  // old heap_ (maybe data_'s target) dies after
+    data_ = reinterpret_cast<T*>(heap_.get());
     capacity_ = new_cap;
   }
 
   std::size_t size_ = 0;
   std::size_t capacity_ = N;
-  std::vector<T> heap_;
-  T inline_[N];
-  T* data_ = inline_;
+  std::unique_ptr<std::byte[]> heap_;
+  alignas(T) std::byte inline_[sizeof(T) * N];
+  T* data_ = reinterpret_cast<T*>(inline_);
 };
 
 }  // namespace rtds

@@ -1,13 +1,56 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <new>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 
 #include "dag/analysis.hpp"
 #include "dag/dot.hpp"
 #include "dag/generators.hpp"
+
+// Every heap block in this binary goes through the replacements below, so
+// the DagHeap cases can count what a Dag allocates and holds. Each block
+// carries its size in a header; the suite is single-threaded.
+namespace {
+struct HeapCount {
+  std::size_t blocks = 0;  // live
+  std::size_t bytes = 0;   // live
+  std::size_t allocations = 0;  // ever made
+};
+HeapCount g_heap;
+constexpr std::size_t kHeader = __STDCPP_DEFAULT_NEW_ALIGNMENT__;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  auto* const p = static_cast<unsigned char*>(std::malloc(size + kHeader));
+  if (p == nullptr) throw std::bad_alloc();
+  std::memcpy(p, &size, sizeof size);
+  ++g_heap.blocks;
+  ++g_heap.allocations;
+  g_heap.bytes += size;
+  return p + kHeader;
+}
+void operator delete(void* ptr) noexcept {
+  if (ptr == nullptr) return;
+  auto* const p = static_cast<unsigned char*>(ptr) - kHeader;
+  std::size_t size = 0;
+  std::memcpy(&size, p, sizeof size);
+  --g_heap.blocks;
+  g_heap.bytes -= size;
+  std::free(p);
+}
+void* operator new[](std::size_t size) { return operator new(size); }
+void operator delete[](void* ptr) noexcept { operator delete(ptr); }
+void operator delete(void* ptr, std::size_t) noexcept { operator delete(ptr); }
+void operator delete[](void* ptr, std::size_t) noexcept {
+  operator delete(ptr);
+}
 
 namespace rtds {
 namespace {
@@ -28,11 +71,44 @@ TEST(Dag, BuildAndQuery) {
   EXPECT_EQ(dag.arc_count(), 3u);
   EXPECT_EQ(std::vector<TaskId>(dag.successors(a).begin(), dag.successors(a).end()), (std::vector<TaskId>{b, c}));
   EXPECT_EQ(std::vector<TaskId>(dag.predecessors(c).begin(), dag.predecessors(c).end()), (std::vector<TaskId>{a, b}));
-  EXPECT_EQ(dag.topological_order(), (std::vector<TaskId>{a, b, c}));
+  EXPECT_TRUE(std::ranges::equal(dag.topological_order(),
+                                 std::vector<TaskId>{a, b, c}));
   EXPECT_DOUBLE_EQ(dag.total_work(), 6.0);
   EXPECT_TRUE(dag.reaches(a, c));
   EXPECT_FALSE(dag.reaches(c, a));
   EXPECT_FALSE(dag.reaches(a, a));
+}
+
+TEST(Dag, LabelsAreOptionalPerTask) {
+  Dag dag;
+  dag.add_task(1.0);
+  dag.add_task(2.0, "load data");
+  dag.add_task(3.0);
+  dag.add_task(4.0, "x");
+  dag.add_arc(0, 1);
+  EXPECT_EQ(dag.label(1), "load data");  // readable while building
+  EXPECT_THROW(dag.add_task(1.0, "two\nlines"), ContractViolation);
+  dag.finalize();
+  const Dag copy = dag;
+  for (const Dag* d : std::initializer_list<const Dag*>{&dag, &copy}) {
+    EXPECT_EQ(d->label(0), "");
+    EXPECT_EQ(d->label(1), "load data");
+    EXPECT_EQ(d->label(2), "");
+    EXPECT_EQ(d->label(3), "x");
+  }
+  Dag unlabelled;
+  unlabelled.add_task(1.0);
+  unlabelled.finalize();
+  EXPECT_EQ(unlabelled.label(0), "");
+}
+
+TEST(Dag, MovedFromDagIsEmpty) {
+  Dag dag = paper_example();
+  const Dag moved = std::move(dag);
+  EXPECT_EQ(moved.task_count(), 5u);
+  EXPECT_EQ(moved.label(4), "t5");
+  EXPECT_EQ(dag.task_count(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_FALSE(dag.finalized());
 }
 
 TEST(Dag, CycleDetected) {
@@ -269,7 +345,7 @@ std::string describe(const Dag& dag) {
   std::ostringstream os;
   os << std::hexfloat << dag.task_count() << ':';
   for (TaskId t = 0; t < dag.task_count(); ++t)
-    os << dag.cost(t) << '/' << dag.task(t).label << ',';
+    os << dag.cost(t) << '/' << dag.label(t) << ',';
   os << '|';
   for (const auto& a : dag.arcs())
     os << a.from << '>' << a.to << '=' << a.data_volume << ',';
@@ -279,7 +355,7 @@ std::string describe(const Dag& dag) {
     os << 's';
     for (TaskId s : dag.successors(t)) os << s << ',';
   }
-  const auto list = [&os](const char* tag, const std::vector<TaskId>& ids) {
+  const auto list = [&os](const char* tag, std::span<const TaskId> ids) {
     os << tag;
     for (TaskId t : ids) os << t << ',';
   };
@@ -326,6 +402,68 @@ TEST(Generators, GeneratedDagsArePinned) {
   EXPECT_EQ(h, 10114931922485299920ull);
 }
 
+// ---------------------------------------------------------- heap blocks --
+
+// A finalized DAG's exact footprint: costs and bottom levels in one block;
+// arcs, the CSR offsets and ids, the topological order, sources, sinks
+// and, when labelled, the label ends and characters in the other.
+std::size_t exact_bytes(const Dag& dag) {
+  const std::size_t n = dag.task_count(), m = dag.arc_count();
+  std::size_t label_chars = 0;
+  for (TaskId t = 0; t < n; ++t) label_chars += dag.label(t).size();
+  const std::size_t words = 2 * (n + 1) + 2 * m + n + dag.sources().size() +
+                            dag.sinks().size() + (label_chars ? n : 0);
+  return 2 * sizeof(Time) * n + sizeof(Arc) * m +
+         sizeof(std::uint32_t) * words + label_chars;
+}
+
+TEST(DagHeap, GeneratedDagsOwnAtMostTwoExactBlocks) {
+  for (int s = 0; s <= static_cast<int>(DagShape::kStencil); ++s) {
+    for (const std::size_t n : {1, 7, 40}) {
+      const auto shape = static_cast<DagShape>(s);
+      Rng rng(n);
+      const HeapCount before = g_heap;
+      const Dag dag = make_shape(shape, n, CostRange{1.0, 9.0}, rng);
+      EXPECT_LE(g_heap.blocks - before.blocks, 2u) << to_string(shape) << n;
+      EXPECT_EQ(g_heap.bytes - before.bytes, exact_bytes(dag))
+          << to_string(shape) << n;
+
+      const HeapCount copied = g_heap;
+      const Dag copy = dag;  // copies are exact too
+      EXPECT_LE(g_heap.blocks - copied.blocks, 2u) << to_string(shape) << n;
+      EXPECT_EQ(g_heap.bytes - copied.bytes, exact_bytes(dag))
+          << to_string(shape) << n;
+    }
+  }
+}
+
+TEST(DagHeap, UnlabelledDagAllocatesNoLabelStorage) {
+  // With exact reserves the build makes three allocations: the cost block,
+  // the arc block, and the finalized graph block that replaces the latter.
+  const auto build = [](const char* label) {
+    Dag dag;
+    dag.reserve(3, 2);
+    dag.add_task(1.0);
+    dag.add_task(2.0, label);
+    dag.add_task(3.0);
+    dag.add_arc(0, 1);
+    dag.add_arc(1, 2);
+    dag.finalize();
+    return dag;
+  };
+  HeapCount before = g_heap;
+  const Dag plain = build("");
+  EXPECT_EQ(g_heap.allocations - before.allocations, 3u);
+  EXPECT_EQ(g_heap.blocks - before.blocks, 2u);
+  EXPECT_EQ(g_heap.bytes - before.bytes, exact_bytes(plain));
+
+  before = g_heap;
+  const Dag labelled = build("load");  // labels are staged, then packed
+  EXPECT_GT(g_heap.allocations - before.allocations, 3u);
+  EXPECT_EQ(g_heap.blocks - before.blocks, 2u);
+  EXPECT_EQ(g_heap.bytes - before.bytes, exact_bytes(plain) + 3 * 4 + 4);
+}
+
 // ----------------------------------------------------------------- dot ----
 
 TEST(Dot, ContainsTasksAndArcs) {
@@ -334,6 +472,19 @@ TEST(Dot, ContainsTasksAndArcs) {
   EXPECT_NE(dot.find("digraph fig2"), std::string::npos);
   EXPECT_NE(dot.find("t0 -> t2"), std::string::npos);
   EXPECT_NE(dot.find("c=6"), std::string::npos);
+}
+
+TEST(Dot, LabelsAreEscaped) {
+  Dag dag;
+  dag.add_task(2.0, "say \"hi\"");
+  dag.add_task(3.0, "a\\b");
+  dag.finalize();
+  const std::string dot = to_dot(dag, "g");
+  EXPECT_NE(dot.find("t0 [label=\"say \\\"hi\\\"\\nc=2\"];"),
+            std::string::npos)
+      << dot;
+  EXPECT_NE(dot.find("t1 [label=\"a\\\\b\\nc=3\"];"), std::string::npos)
+      << dot;
 }
 
 }  // namespace

@@ -19,7 +19,7 @@ void expect_same_dag(const Dag& a, const Dag& b) {
   ASSERT_EQ(a.arc_count(), b.arc_count());
   for (TaskId t = 0; t < a.task_count(); ++t) {
     EXPECT_DOUBLE_EQ(a.cost(t), b.cost(t));
-    EXPECT_EQ(a.task(t).label, b.task(t).label);
+    EXPECT_EQ(a.label(t), b.label(t));
     EXPECT_EQ(std::vector<TaskId>(a.predecessors(t).begin(), a.predecessors(t).end()),
               std::vector<TaskId>(b.predecessors(t).begin(), b.predecessors(t).end()));
     EXPECT_EQ(std::vector<TaskId>(a.successors(t).begin(), a.successors(t).end()),
@@ -61,7 +61,27 @@ TEST(DagIo, DataVolumesSurviveRoundTrip) {
   dag.finalize();
   const Dag copy = dag_from_string(dag_to_string(dag));
   EXPECT_DOUBLE_EQ(copy.data_volume(0, 1), 123.456);
-  EXPECT_EQ(copy.task(0).label, "producer");
+  EXPECT_EQ(copy.label(0), "producer");
+}
+
+TEST(DagIo, LabelWithSpacesSurvivesRoundTrip) {
+  Dag dag;
+  dag.add_task(1.0, "load data");
+  dag.add_task(2.0, " padded ");
+  dag.add_task(3.0);
+  dag.add_arc(0, 1);
+  dag.finalize();
+  const Dag copy = dag_from_string(dag_to_string(dag));
+  expect_same_dag(dag, copy);
+  EXPECT_EQ(copy.label(0), "load data");
+  EXPECT_EQ(copy.label(1), " padded ");
+  EXPECT_EQ(copy.label(2), "");
+  // Hand-written input: everything after the cost's separator is the label.
+  const Dag read = dag_from_string(
+      "dag v1\ntasks 1\ntask 0 1.5 load data\narcs 0\nend\n");
+  EXPECT_EQ(read.label(0), "load data");
+  EXPECT_THROW(dag_from_string("dag v1\ntasks 1\ntask 0 1.5x\narcs 0\nend\n"),
+               ContractViolation);
 }
 
 TEST(DagIo, MalformedInputRejectedWithLineInfo) {
