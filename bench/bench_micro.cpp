@@ -615,8 +615,7 @@ void BM_SnapshotSaveRestore(benchmark::State& state) {
   cs.horizon = 200.0;
   cs.seed = 11;
   const exp::Condition c = exp::make_condition(cs);
-  SystemConfig cfg;
-  cfg.record_events = true;
+  const SystemConfig cfg;
   RtdsSystem system(c.topo, cfg);
   system.start(c.arrivals);
   system.step_events(2000);  // snapshot mid-run, with real pending events

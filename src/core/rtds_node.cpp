@@ -12,18 +12,6 @@
 
 namespace rtds {
 
-namespace {
-/// Checkpoint annotation for a node-owned timer event (DESIGN.md §14);
-/// callers fill kind-specific fields on the returned record.
-EventRecord node_record(EventRecord::Kind kind, SiteId site, JobId job = 0) {
-  EventRecord rec;
-  rec.kind = kind;
-  rec.site = site;
-  rec.job = job;
-  return rec;
-}
-}  // namespace
-
 const char* to_string(EnrollPolicy policy) {
   switch (policy) {
     case EnrollPolicy::kNack: return "nack";
@@ -293,10 +281,7 @@ void RtdsNode::begin_acs_construction(Initiation& init) {
     // schedule, or the timeout would fire while resends are still
     // recovering replies.
     if (retransmit_enabled()) timeout *= retransmit_stretch();
-    sim_.schedule_in(timeout, [this, job]() { on_enroll_timeout(job); });
-    if (sim_.recording())
-      sim_.annotate(
-          node_record(EventRecord::Kind::kEnrollTimeout, site_, job));
+    sim_.post_in(timeout, env_, ev::EnrollTimeout{site_, job});
   }
 }
 
@@ -340,10 +325,7 @@ void RtdsNode::on_enroll_reply(SiteId from, const EnrollReply& msg) {
               init.acs.size());
       tr->begin("protocol", "map", sim_.now(), site_, msg.job);
     }
-    sim_.schedule_in(cfg_.mapper_compute_time,
-                     [this, job = msg.job]() { run_mapper(job); });
-    if (sim_.recording())
-      sim_.annotate(node_record(EventRecord::Kind::kMapper, site_, msg.job));
+    sim_.post_in(cfg_.mapper_compute_time, env_, ev::Mapper{site_, msg.job});
   }
 }
 
@@ -359,10 +341,7 @@ void RtdsNode::on_enroll_timeout(JobId job) {
             it->second.acs.size());
     tr->begin("protocol", "map", sim_.now(), site_, job);
   }
-  sim_.schedule_in(cfg_.mapper_compute_time,
-                   [this, job]() { run_mapper(job); });
-  if (sim_.recording())
-    sim_.annotate(node_record(EventRecord::Kind::kMapper, site_, job));
+  sim_.post_in(cfg_.mapper_compute_time, env_, ev::Mapper{site_, job});
 }
 
 void RtdsNode::run_mapper(JobId job) {
@@ -485,10 +464,7 @@ void RtdsNode::begin_validation(Initiation& init) {
                    cfg_.protocol_overhead_slack;
     // Outlast the retransmit backoff schedule (see begin_acs_construction).
     if (retransmit_enabled()) timeout *= retransmit_stretch();
-    sim_.schedule_in(timeout, [this, job]() { on_validate_timeout(job); });
-    if (sim_.recording())
-      sim_.annotate(
-          node_record(EventRecord::Kind::kValidateTimeout, site_, job));
+    sim_.post_in(timeout, env_, ev::ValidateTimeout{site_, job});
   }
 }
 
@@ -876,16 +852,7 @@ void RtdsNode::arm_retry(JobId job, SiteId to, int category,
   // validate) entry, and the superseded timer no-ops on its stale gen.
   retries_[{job, to}] = std::move(r);
   const Time next = rto + retry_rng_.uniform(0.0, 0.25 * rto);
-  sim_.schedule_in(next, [this, job, to, gen = retry_gen_, rto]() {
-    on_retry_timer(job, to, gen, rto);
-  });
-  if (sim_.recording()) {
-    EventRecord rec = node_record(EventRecord::Kind::kRetryTimer, site_, job);
-    rec.peer = to;
-    rec.a = retry_gen_;
-    rec.x = rto;
-    sim_.annotate(std::move(rec));
-  }
+  sim_.post_in(next, env_, ev::RetryTimer{site_, to, job, retry_gen_, rto});
 }
 
 void RtdsNode::on_retry_timer(JobId job, SiteId to, std::uint64_t gen,
@@ -919,16 +886,7 @@ void RtdsNode::on_retry_timer(JobId job, SiteId to, std::uint64_t gen,
   // Capped exponential backoff with seeded jitter (deterministic per run).
   const Time next_rto = 2.0 * rto;
   const Time next = next_rto + retry_rng_.uniform(0.0, 0.25 * next_rto);
-  sim_.schedule_in(next, [this, job, to, gen, next_rto]() {
-    on_retry_timer(job, to, gen, next_rto);
-  });
-  if (sim_.recording()) {
-    EventRecord rec = node_record(EventRecord::Kind::kRetryTimer, site_, job);
-    rec.peer = to;
-    rec.a = gen;
-    rec.x = next_rto;
-    sim_.annotate(std::move(rec));
-  }
+  sim_.post_in(next, env_, ev::RetryTimer{site_, to, job, gen, next_rto});
 }
 
 void RtdsNode::cancel_retry(JobId job, SiteId to) {
@@ -1060,16 +1018,7 @@ void RtdsNode::commit_logical(const Job& job, const TrialMapping& m,
 
 void RtdsNode::schedule_completion(JobId job, TaskId task, Time end) {
   if (cfg_.fault_tolerant) ++pending_completions_[job];
-  sim_.schedule_at(end, [this, job, task, end, ep = epoch_]() {
-    fire_completion(job, task, end, ep);
-  });
-  if (sim_.recording()) {
-    EventRecord rec = node_record(EventRecord::Kind::kCompletion, site_, job);
-    rec.task = task;
-    rec.x = end;
-    rec.a = epoch_;
-    sim_.annotate(std::move(rec));
-  }
+  sim_.post_at(end, env_, ev::Completion{site_, task, job, end, epoch_});
 }
 
 void RtdsNode::fire_completion(JobId job, TaskId task, Time end,
@@ -1096,13 +1045,7 @@ void RtdsNode::acquire_lock(SiteId initiator, JobId job) {
   // The initiator's own lock needs no lease — it resolves synchronously
   // with the initiation, and a crash clears it.
   if (cfg_.fault_tolerant && initiator != site_) {
-    sim_.schedule_in(lease_,
-                     [this, seq = lock_seq_]() { on_lease_expired(seq); });
-    if (sim_.recording()) {
-      EventRecord rec = node_record(EventRecord::Kind::kLeaseExpiry, site_);
-      rec.a = lock_seq_;
-      sim_.annotate(std::move(rec));
-    }
+    sim_.post_in(lease_, env_, ev::LeaseExpiry{site_, lock_seq_});
   }
 }
 
@@ -1144,9 +1087,7 @@ void RtdsNode::after_unlock() {
   // event so responder handlers never nest a whole initiator pipeline.
   if (!lock_.has_value() && !queue_.empty() && !start_pending_) {
     start_pending_ = true;
-    sim_.schedule_in(0.0, [this]() { fire_start_next(); });
-    if (sim_.recording())
-      sim_.annotate(node_record(EventRecord::Kind::kStartNext, site_));
+    sim_.post_in(0.0, env_, ev::StartNext{site_});
   }
 }
 

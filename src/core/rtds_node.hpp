@@ -142,8 +142,10 @@ struct RtdsConfig {
 };
 
 /// Instrumentation interface the owning system implements. Calls are
-/// out-of-band (measurement, not protocol).
-class NodeEnv {
+/// out-of-band (measurement, not protocol). The system also owns the
+/// node's timer events (sim/event.hpp): nodes post them to it, and it runs
+/// each through the node's entry point.
+class NodeEnv : public EventOwner {
  public:
   virtual ~NodeEnv() = default;
   virtual void on_job_decision(const JobDecision& decision) = 0;
@@ -332,9 +334,10 @@ class RtdsNode {
   /// fault_tolerant the per-job pending count feeds crash-time job-loss
   /// reporting.
   void schedule_completion(JobId job, TaskId task, Time end);
-  /// Body of a scheduled completion event (also the snapshot replay entry).
+  /// Body of a Completion event.
   void fire_completion(JobId job, TaskId task, Time end, std::uint64_t epoch);
-  /// Body of the deferred start_next_job kick scheduled by after_unlock.
+  /// Body of the deferred start_next_job kick (a StartNext event posted by
+  /// after_unlock).
   void fire_start_next();
 
   void send(SiteId to, MessageBody payload, int category, JobId job,
@@ -410,8 +413,10 @@ class RtdsNode {
   std::array<JobId, 64> recent_dispatch_{};
   std::size_t recent_dispatch_count_ = 0;
 
-  /// Checkpoint serialization reads and restores the private state above
-  /// (snap/snapshot.cpp); nothing else reaches in.
+  /// The system runs the node's timer events through the entry points
+  /// above; checkpoint serialization reads and restores the private state
+  /// (snap/snapshot.cpp). Nothing else reaches in.
+  friend class RtdsSystem;
   friend struct snap::Access;
 };
 

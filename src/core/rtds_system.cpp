@@ -1,7 +1,9 @@
 #include "core/rtds_system.hpp"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
@@ -23,11 +25,6 @@ RtdsSystem::RtdsSystem(Topology topo, SystemConfig cfg)
   RTDS_REQUIRE_MSG(topo_.connected(), "topology must be connected (§2)");
   const auto h = cfg_.node.sphere_radius_h;
 
-  // Checkpoint support: recording must be live before the first schedule
-  // call (the fault plan below), or Snapshot::save would meet opaque
-  // events.
-  sim_.set_recording(cfg_.record_events);
-
   // §9: a non-empty fault plan switches the protocol into its
   // fault-tolerant mode. The plan's events become ordinary simulator
   // events, so the whole run stays deterministic.
@@ -41,18 +38,8 @@ RtdsSystem::RtdsSystem(Topology topo, SystemConfig cfg)
     // stream and every node's retransmit-backoff jitter derive from it.
     cfg_.node.fault_seed = cfg_.faults.seed;
     fault_state_ = std::make_unique<fault::FaultState>(topo_, cfg_.faults);
-    for (const auto& ev : cfg_.faults.events) {
-      sim_.schedule_at(ev.at, [this, ev]() { apply_fault(ev); });
-      if (sim_.recording()) {
-        EventRecord rec;
-        rec.kind = EventRecord::Kind::kFault;
-        rec.small = static_cast<std::uint8_t>(ev.kind);
-        rec.site = ev.a;
-        rec.peer = ev.b;
-        rec.x = ev.at;
-        sim_.annotate(std::move(rec));
-      }
-    }
+    for (const auto& f : cfg_.faults.events)
+      sim_.post_at(f.at, *this, ev::Fault{f});
   }
 
   // §12 runtime invariant checker: per-run flag OR the process-global one
@@ -197,16 +184,7 @@ void RtdsSystem::start(const std::vector<JobArrival>& arrivals) {
     ids.push_back(a.job->id);
     RTDS_REQUIRE_MSG(time_lt(a.job->release, a.job->deadline),
                      "job " << a.job->id << " has an empty window");
-    sim_.schedule_at(a.job->release, [this, a]() {
-      nodes_[a.site]->submit(a.job);
-    });
-    if (sim_.recording()) {
-      EventRecord rec;
-      rec.kind = EventRecord::Kind::kArrival;
-      rec.site = a.site;
-      rec.job_ref = a.job;
-      sim_.annotate(std::move(rec));
-    }
+    sim_.post_at(a.job->release, *this, ev::Arrival{a.site, a.job});
   }
   std::sort(ids.begin(), ids.end());
   const auto dup = std::adjacent_find(ids.begin(), ids.end());
@@ -250,19 +228,40 @@ void RtdsSystem::schedule_streamed(JobArrival a) {
                        << a.job->id << ")");
   last_stream_release_ = a.job->release;
   if (checker_ != nullptr) checker_->on_submitted(1);
-  sim_.schedule_at(a.job->release, [this, a]() { fire_stream_arrival(a); });
-  if (sim_.recording()) {
-    EventRecord rec;
-    rec.kind = EventRecord::Kind::kStreamArrival;
-    rec.site = a.site;
-    rec.job_ref = a.job;
-    sim_.annotate(std::move(rec));
-  }
+  const Time release = a.job->release;
+  sim_.post_at(release, *this, ev::StreamArrival{a.site, std::move(a.job)});
 }
 
-void RtdsSystem::fire_stream_arrival(const JobArrival& a) {
-  nodes_[a.site]->submit(a.job);
-  if (auto nxt = stream_next_()) schedule_streamed(std::move(*nxt));
+void RtdsSystem::fire(Event& event) {
+  std::visit(
+      [this](auto& e) {
+        using E = std::decay_t<decltype(e)>;
+        if constexpr (std::is_same_v<E, ev::Fault>) {
+          apply_fault(e.fault);
+        } else if constexpr (std::is_same_v<E, ev::Arrival>) {
+          nodes_[e.site]->submit(std::move(e.job));
+        } else if constexpr (std::is_same_v<E, ev::StreamArrival>) {
+          nodes_[e.site]->submit(std::move(e.job));
+          if (auto nxt = stream_next_()) schedule_streamed(std::move(*nxt));
+        } else if constexpr (std::is_same_v<E, ev::EnrollTimeout>) {
+          nodes_[e.site]->on_enroll_timeout(e.job);
+        } else if constexpr (std::is_same_v<E, ev::Mapper>) {
+          nodes_[e.site]->run_mapper(e.job);
+        } else if constexpr (std::is_same_v<E, ev::ValidateTimeout>) {
+          nodes_[e.site]->on_validate_timeout(e.job);
+        } else if constexpr (std::is_same_v<E, ev::RetryTimer>) {
+          nodes_[e.site]->on_retry_timer(e.job, e.peer, e.gen, e.rto);
+        } else if constexpr (std::is_same_v<E, ev::Completion>) {
+          nodes_[e.site]->fire_completion(e.job, e.task, e.end, e.epoch);
+        } else if constexpr (std::is_same_v<E, ev::LeaseExpiry>) {
+          nodes_[e.site]->on_lease_expired(e.lock_seq);
+        } else if constexpr (std::is_same_v<E, ev::StartNext>) {
+          nodes_[e.site]->fire_start_next();
+        } else {
+          RTDS_CHECK_MSG(false, "the system met an event it does not own");
+        }
+      },
+      event);
 }
 
 void RtdsSystem::on_job_decision(const JobDecision& decision) {

@@ -61,11 +61,6 @@ struct SystemConfig {
   /// turn this off and consume on_decision_observed instead, so memory
   /// stays bounded by the windows, not the horizon.
   bool retain_decisions = true;
-  /// Record a replayable EventRecord for every scheduled event so the run
-  /// can be checkpointed (snap/, DESIGN.md §14). Off by default: recording
-  /// costs a hash-map entry per pending event and one branch per schedule
-  /// site, and Snapshot::save requires it from the very first event.
-  bool record_events = false;
 };
 
 class RtdsSystem : public NodeEnv {
@@ -139,9 +134,9 @@ class RtdsSystem : public NodeEnv {
   /// Validates one streamed arrival and schedules its submit event, which
   /// on firing pulls + schedules the successor (the lazy chain).
   void schedule_streamed(JobArrival a);
-  /// Body of a streamed-arrival event: submit, then pull + schedule the
-  /// successor. Named so a checkpoint replay re-enters the identical path.
-  void fire_stream_arrival(const JobArrival& a);
+  /// Runs the fault, arrival and node events (sim/event.hpp) through one
+  /// visit; the transports run their own.
+  void fire(Event& event) override;
   /// Applies one fault-plan event: flips the FaultState, crashes/recovers
   /// the node for site events, and re-triggers the §7 routing repair on
   /// any actual topology change.

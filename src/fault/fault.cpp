@@ -1,6 +1,7 @@
 #include "fault/fault.hpp"
 
 #include <algorithm>
+#include <sstream>
 
 namespace rtds::fault {
 
@@ -108,46 +109,49 @@ FaultPlan FaultPlan::from_spec(const FaultSpec& spec, const Topology& topo) {
   return plan;
 }
 
-void FaultPlan::validate(const Topology& topo) const {
+std::string FaultEvent::problem(const Topology& topo) const {
   const auto n = topo.site_count();
+  // Formats only on failure: plans validate thousands of legal events.
+  const auto says = [this](const auto&... parts) {
+    std::ostringstream why;
+    why << "(" << to_string(kind) << "): ";
+    (why << ... << parts);
+    return why.str();
+  };
+  if (!(at >= 0.0)) return says("negative time ", at);
+  switch (kind) {
+    case FaultKind::kSiteDown:
+    case FaultKind::kSiteUp:
+      if (a >= n) return says("site ", a, " out of range (", n, " sites)");
+      break;
+    case FaultKind::kLinkDown:
+    case FaultKind::kLinkUp:
+      if (a >= n || b >= n)
+        return says("endpoint out of range: ", a, "--", b);
+      if (!topo.adjacent(a, b))
+        return says("no link ", a, "--", b, " in the topology");
+      break;
+    case FaultKind::kPartition:
+      if (a < 1 || a >= n)
+        return says("boundary ", a, " must be in [1, ", n, ")");
+      break;
+    case FaultKind::kHeal:
+      break;
+  }
+  return {};
+}
+
+void FaultPlan::validate(const Topology& topo) const {
   Time prev = 0.0;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const FaultEvent& ev = events[i];
-    RTDS_REQUIRE_MSG(ev.at >= 0.0, "fault event #" << i
-                                       << ": negative time " << ev.at);
+    const std::string why = ev.problem(topo);
+    RTDS_REQUIRE_MSG(why.empty(), "fault event #" << i << " " << why);
     RTDS_REQUIRE_MSG(ev.at >= prev, "fault event #" << i << " at t=" << ev.at
                                         << " precedes event #" << (i - 1)
                                         << " at t=" << prev
                                         << " (events must be time-sorted)");
     prev = ev.at;
-    switch (ev.kind) {
-      case FaultKind::kSiteDown:
-      case FaultKind::kSiteUp:
-        RTDS_REQUIRE_MSG(ev.a < n, "fault event #" << i << " ("
-                                       << to_string(ev.kind) << "): site "
-                                       << ev.a << " out of range (" << n
-                                       << " sites)");
-        break;
-      case FaultKind::kLinkDown:
-      case FaultKind::kLinkUp:
-        RTDS_REQUIRE_MSG(ev.a < n && ev.b < n,
-                         "fault event #" << i << " (" << to_string(ev.kind)
-                                         << "): endpoint out of range: "
-                                         << ev.a << "--" << ev.b);
-        RTDS_REQUIRE_MSG(topo.adjacent(ev.a, ev.b),
-                         "fault event #" << i << " (" << to_string(ev.kind)
-                                         << "): no link " << ev.a << "--"
-                                         << ev.b << " in the topology");
-        break;
-      case FaultKind::kPartition:
-        RTDS_REQUIRE_MSG(ev.a >= 1 && ev.a < n,
-                         "fault event #" << i << " (partition): boundary "
-                                         << ev.a << " must be in [1, " << n
-                                         << ")");
-        break;
-      case FaultKind::kHeal:
-        break;
-    }
   }
 }
 

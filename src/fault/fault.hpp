@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -59,6 +60,11 @@ struct FaultEvent {
   FaultKind kind = FaultKind::kSiteDown;
   SiteId a = 0;
   SiteId b = kNoSite;
+
+  /// Why this event cannot happen on `topo` — a negative time, a site out
+  /// of range, a link the topology lacks, a partition boundary outside
+  /// [1, sites) — as "(kind): reason", or empty when it can.
+  std::string problem(const Topology& topo) const;
 };
 
 /// Seeded random fault processes. Each site (link) alternates exponential

@@ -53,16 +53,12 @@ std::function<std::optional<JobArrival>()> open_stream(const FuzzScenario& s,
   };
 }
 
-/// One full rtds reference run. `record_events` must be on for runs that
-/// will be snapshotted. Returns the drained system (for the routing /
-/// fault-state post-mortems).
+/// One full rtds reference run. Returns the drained system (for the
+/// routing / fault-state post-mortems and the snapshot cut).
 std::unique_ptr<RtdsSystem> run_rtds(const FuzzScenario& s,
                                      const Topology& topo,
-                                     const std::vector<JobArrival>& arrivals,
-                                     bool record_events) {
-  SystemConfig cfg = rtds_cfg_for(s, topo);
-  cfg.record_events = record_events;
-  auto sys = std::make_unique<RtdsSystem>(topo, cfg);
+                                     const std::vector<JobArrival>& arrivals) {
+  auto sys = std::make_unique<RtdsSystem>(topo, rtds_cfg_for(s, topo));
   if (s.workload == WorkloadMode::kOpenDiurnal)
     sys->run_stream(open_stream(s, topo));
   else
@@ -124,7 +120,7 @@ CheckResult run_rtds_checks(const FuzzScenario& s) {
   // violations surface here with a classifiable tag.
   std::unique_ptr<RtdsSystem> ref;
   try {
-    ref = run_rtds(s, topo, arrivals, /*record_events=*/false);
+    ref = run_rtds(s, topo, arrivals);
   } catch (const std::exception& e) {
     return fail(classify_failure(e.what()), e.what());
   }
@@ -144,7 +140,7 @@ CheckResult run_rtds_checks(const FuzzScenario& s) {
     }
 
     if (s.check_replay) {
-      const auto again = run_rtds(s, topo, arrivals, false);
+      const auto again = run_rtds(s, topo, arrivals);
       const std::string bytes = metrics_line(again->metrics());
       if (bytes != ref_bytes)
         return fail("replay-divergence",
@@ -152,16 +148,11 @@ CheckResult run_rtds_checks(const FuzzScenario& s) {
     }
 
     if (s.check_snapshot && s.workload != WorkloadMode::kOpenDiurnal) {
-      // Uninterrupted run with event recording on (snapshots need the
-      // replayable event log), then the same run cut at a scenario-derived
-      // event boundary, saved, resumed into a fresh system and drained:
-      // the two metric lines must match byte for byte.
-      SystemConfig cfg = rtds_cfg_for(s, topo);
-      cfg.record_events = true;
-      RtdsSystem whole(topo, cfg);
-      whole.run(arrivals);
-      const std::string whole_bytes = metrics_line(whole.metrics());
-      const std::uint64_t total = whole.simulator().executed_events();
+      // The reference run cut at a scenario-derived event boundary, saved,
+      // resumed into a fresh system and drained: its metric line must
+      // match the uninterrupted reference byte for byte.
+      const SystemConfig cfg = rtds_cfg_for(s, topo);
+      const std::uint64_t total = ref->simulator().executed_events();
       if (total > 1) {
         const std::uint64_t cut =
             1 + (s.cond.seed * 0x9e3779b97f4a7c15ULL >> 32) % (total - 1);
@@ -179,7 +170,7 @@ CheckResult run_rtds_checks(const FuzzScenario& s) {
         while (resumed.step_events(4096) > 0) {
         }
         resumed.finish();
-        if (metrics_line(resumed.metrics()) != whole_bytes)
+        if (metrics_line(resumed.metrics()) != ref_bytes)
           return fail("snapshot-divergence",
                       "resume at event " + std::to_string(cut) + "/" +
                           std::to_string(total) +
@@ -199,7 +190,7 @@ CheckResult run_rtds_checks(const FuzzScenario& s) {
       spec.replicates = 2;
       spec.warm_start = false;
       spec.trial = [&](const exp::GridPoint&, std::uint64_t) {
-        const auto sys = run_rtds(s, topo, arrivals, false);
+        const auto sys = run_rtds(s, topo, arrivals);
         const RunMetrics& m = sys->metrics();
         return exp::TrialResult{m.guarantee_ratio(),
                                 static_cast<double>(m.arrived),

@@ -37,9 +37,6 @@ OpenRunResult run_open_rtds(const Topology& topo, ArrivalSource& source,
   // everything the summary needs.
   cfg.retain_decisions = false;
   const bool checkpointing = !ocfg.checkpoint_path.empty();
-  // Recording is what makes the pending events serializable; it changes no
-  // simulation bytes (tests/snapshot_test.cpp pins recorded == unrecorded).
-  if (checkpointing) cfg.record_events = true;
   RtdsSystem system(topo, cfg);
   auto next = [&source,
                duration = ocfg.duration]() -> std::optional<JobArrival> {

@@ -19,9 +19,8 @@ struct OpenConfig {
   // --- checkpoint / resume (snap/, DESIGN.md §14) ---
   /// Periodically Snapshot::save_file the full run state (system, arrival
   /// generator, steady-state windows, obs metrics buffer if one is
-  /// installed) to this path. Empty = off; turning it on forces
-  /// record_events and changes no simulation bytes (pinned by
-  /// tests/snapshot_test.cpp).
+  /// installed) to this path. Empty = off; turning it on changes no
+  /// simulation bytes (pinned by tests/snapshot_test.cpp).
   std::string checkpoint_path;
   /// Events between checkpoints when checkpoint_path is set (0 = only the
   /// stepping chunk changes, no periodic saves).

@@ -7,19 +7,6 @@
 #include "obs/trace.hpp"
 
 namespace rtds {
-namespace {
-
-EventRecord msg_record(EventRecord::Kind kind, SiteId from, SiteId to,
-                       std::shared_ptr<const MessageBody> payload) {
-  EventRecord rec;
-  rec.kind = kind;
-  rec.site = from;
-  rec.peer = to;
-  rec.payload = std::move(payload);
-  return rec;
-}
-
-}  // namespace
 
 // --------------------------------------------------------------- ideal ----
 
@@ -45,22 +32,19 @@ void IdealTransport::drop(SiteId to, const MessageBody& payload) {
   if (on_drop_) on_drop_(to, payload);
 }
 
-void IdealTransport::deliver_self(SiteId from, SiteId to,
-                                  const MessageBody& payload) {
-  RTDS_CHECK(handlers_[to] != nullptr);
-  handlers_[to](from, payload);
-}
-
-void IdealTransport::deliver(SiteId from, SiteId to,
-                             const MessageBody& payload) {
-  // Arrival-time liveness: the destination must be up when the message
-  // lands, not merely when it was sent.
-  if (faults_ != nullptr && !faults_->site_up(to)) {
-    drop(to, payload);
+void IdealTransport::fire(Event& event) {
+  if (auto* self = std::get_if<ev::SelfDeliver>(&event)) {
+    RTDS_CHECK(handlers_[self->to] != nullptr);
+    handlers_[self->to](self->from, self->body);
     return;
   }
-  RTDS_CHECK(handlers_[to] != nullptr);
-  handlers_[to](from, payload);
+  auto& d = std::get<ev::Deliver>(event);
+  if (faults_ != nullptr && !faults_->site_up(d.to)) {
+    drop(d.to, d.body);
+    return;
+  }
+  RTDS_CHECK(handlers_[d.to] != nullptr);
+  handlers_[d.to](d.from, d.body);
 }
 
 std::size_t IdealTransport::send(SiteId from, SiteId to, MessageBody payload,
@@ -70,15 +54,7 @@ std::size_t IdealTransport::send(SiteId from, SiteId to, MessageBody payload,
   RTDS_REQUIRE(size_units >= 0.0);
   if (from == to) {
     stats_.record(category, 0);
-    std::shared_ptr<const MessageBody> rec_payload;
-    if (sim_.recording())
-      rec_payload = std::make_shared<const MessageBody>(payload);
-    sim_.schedule_in(0.0, [this, from, to, p = std::move(payload)]() {
-      deliver_self(from, to, p);
-    });
-    if (rec_payload)
-      sim_.annotate(msg_record(EventRecord::Kind::kSelfDeliver, from, to,
-                               std::move(rec_payload)));
+    sim_.post_in(0.0, *this, ev::SelfDeliver{from, to, std::move(payload)});
     return 0;
   }
   const RouteLine* line = tables_[from].find(to);
@@ -109,23 +85,10 @@ std::size_t IdealTransport::send(SiteId from, SiteId to, MessageBody payload,
       RTDS_COUNT("net.duplicated");
       const Time dup_delay = line->dist + faults_->sample_extra_delay() +
                              faults_->sample_reorder_delay();
-      sim_.schedule_in(dup_delay, [this, from, to, p = MessageBody(payload)]() {
-        deliver(from, to, p);
-      });
-      if (sim_.recording())
-        sim_.annotate(msg_record(EventRecord::Kind::kDeliver, from, to,
-                                 std::make_shared<const MessageBody>(payload)));
+      sim_.post_in(dup_delay, *this, ev::Deliver{from, to, payload});
     }
   }
-  std::shared_ptr<const MessageBody> rec_payload;
-  if (sim_.recording())
-    rec_payload = std::make_shared<const MessageBody>(payload);
-  sim_.schedule_in(delay, [this, from, to, p = std::move(payload)]() {
-    deliver(from, to, p);
-  });
-  if (rec_payload)
-    sim_.annotate(msg_record(EventRecord::Kind::kDeliver, from, to,
-                             std::move(rec_payload)));
+  sim_.post_in(delay, *this, ev::Deliver{from, to, std::move(payload)});
   return line->hops;
 }
 
@@ -160,10 +123,17 @@ void ContendedTransport::drop(SiteId to, const MessageBody& payload) {
   if (on_drop_) on_drop_(to, payload);
 }
 
-void ContendedTransport::deliver_self(SiteId from, SiteId to,
-                                      const MessageBody& payload) {
-  RTDS_CHECK(handlers_[to] != nullptr);
-  handlers_[to](from, payload);
+void ContendedTransport::fire(Event& event) {
+  if (auto* self = std::get_if<ev::SelfDeliver>(&event)) {
+    RTDS_CHECK(handlers_[self->to] != nullptr);
+    handlers_[self->to](self->from, self->body);
+  } else if (auto* inject = std::get_if<ev::ContendedInject>(&event)) {
+    hop(inject->from, inject->from, inject->to, std::move(inject->body),
+        inject->size_units);
+  } else {
+    auto& h = std::get<ev::ContendedHop>(event);
+    hop(h.origin, h.cur, h.dest, std::move(h.body), h.size_units);
+  }
 }
 
 std::size_t ContendedTransport::send(SiteId from, SiteId to, MessageBody payload,
@@ -173,15 +143,7 @@ std::size_t ContendedTransport::send(SiteId from, SiteId to, MessageBody payload
   RTDS_REQUIRE(size_units >= 0.0);
   if (from == to) {
     stats_.record(category, 0);
-    std::shared_ptr<const MessageBody> rec_payload;
-    if (sim_.recording())
-      rec_payload = std::make_shared<const MessageBody>(payload);
-    sim_.schedule_in(0.0, [this, from, to, p = std::move(payload)]() {
-      deliver_self(from, to, p);
-    });
-    if (rec_payload)
-      sim_.annotate(msg_record(EventRecord::Kind::kSelfDeliver, from, to,
-                               std::move(rec_payload)));
+    sim_.post_in(0.0, *this, ev::SelfDeliver{from, to, std::move(payload)});
     return 0;
   }
   const RouteLine* line = tables_[from].find(to);
@@ -214,37 +176,19 @@ std::size_t ContendedTransport::send(SiteId from, SiteId to, MessageBody payload
       RTDS_COUNT("net.duplicated");
       const Time dup_extra =
           faults_->sample_extra_delay() + faults_->sample_reorder_delay();
-      sim_.schedule_in(dup_extra, [this, from, to, p = shared,
-                                   size_units]() { forward(from, to, p, size_units); });
-      if (sim_.recording()) {
-        EventRecord rec =
-            msg_record(EventRecord::Kind::kContendedInject, from, to, shared);
-        rec.y = size_units;
-        sim_.annotate(std::move(rec));
-      }
+      sim_.post_in(dup_extra, *this,
+                   ev::ContendedInject{from, to, size_units, shared});
     }
     if (extra > 0.0) {
-      sim_.schedule_in(extra, [this, from, to, p = shared,
-                               size_units]() { forward(from, to, p, size_units); });
-      if (sim_.recording()) {
-        EventRecord rec = msg_record(EventRecord::Kind::kContendedInject, from,
-                                     to, std::move(shared));
-        rec.y = size_units;
-        sim_.annotate(std::move(rec));
-      }
+      sim_.post_in(extra, *this,
+                   ev::ContendedInject{from, to, size_units, std::move(shared)});
       return hops;
     }
   }
-  forward(from, to, std::move(shared), size_units);
+  // Handlers receive the *logical* sender, threaded through the whole
+  // hop chain as its origin.
+  hop(from, from, to, std::move(shared), size_units);
   return hops;
-}
-
-void ContendedTransport::forward(SiteId at, SiteId to,
-                                 std::shared_ptr<const MessageBody> payload,
-                                 double size_units) {
-  // `at` on the first call is the origin; handlers receive the *logical*
-  // sender, which we thread through the whole hop chain.
-  hop(at, at, to, std::move(payload), size_units);
 }
 
 void ContendedTransport::hop(SiteId origin, SiteId cur, SiteId to,
@@ -286,21 +230,10 @@ void ContendedTransport::hop(SiteId origin, SiteId cur, SiteId to,
   const Time tx = size_units / bandwidth_;
   busy = queue_start + tx;
   const Time arrival = queue_start + tx + link->delay;
-  // The payload moves down the hop chain; only a recorded run keeps a
-  // second reference, for the replay record.
-  std::shared_ptr<const MessageBody> rec_payload;
-  if (sim_.recording()) rec_payload = payload;
-  sim_.schedule_at(arrival, [this, origin, next, to, p = std::move(payload),
-                             size_units]() mutable {
-    hop(origin, next, to, std::move(p), size_units);
-  });
-  if (rec_payload) {
-    EventRecord rec = msg_record(EventRecord::Kind::kContendedHop, origin, next,
-                                 std::move(rec_payload));
-    rec.dest = to;
-    rec.y = size_units;
-    sim_.annotate(std::move(rec));
-  }
+  // The payload moves down the hop chain: one shared body per send.
+  sim_.post_at(arrival, *this,
+               ev::ContendedHop{origin, next, to, size_units,
+                                std::move(payload)});
 }
 
 Time& ContendedTransport::busy_until(SiteId from, const Neighbor& to) {

@@ -36,7 +36,9 @@ struct Access;
 
 namespace rtds {
 
-class Transport {
+/// Each transport owns the events its sends post (sim/event.hpp): the
+/// delivery kinds, and the contended hop chain.
+class Transport : public EventOwner {
  public:
   using Handler = std::function<void(SiteId from, const MessageBody& payload)>;
   /// Invoked whenever a send is lost to injected faults, with the intended
@@ -79,15 +81,12 @@ class IdealTransport final : public Transport {
   const MessageStats& stats() const override { return stats_; }
 
  private:
+  /// Runs a SelfDeliver (no liveness check: a site is always reachable
+  /// from itself) or a Deliver (the destination must be up when the
+  /// message lands, not merely when it was sent; duplicated copies land
+  /// the same way).
+  void fire(Event& event) override;
   void drop(SiteId to, const MessageBody& payload);
-  /// Self-send delivery: no liveness check (a site is always reachable
-  /// from itself), just the handler call.
-  void deliver_self(SiteId from, SiteId to, const MessageBody& payload);
-  /// Routed delivery: destination liveness is checked when the message
-  /// lands, not when it was sent. Both the primary and any duplicated
-  /// copy fire through here, so a checkpoint replay re-enters the exact
-  /// delivery path.
-  void deliver(SiteId from, SiteId to, const MessageBody& payload);
 
   friend struct snap::Access;
 
@@ -127,10 +126,12 @@ class ContendedTransport final : public Transport {
   /// >= 0, so max(now, kIdleLink) == now and the queueing is unchanged.
   static constexpr Time kIdleLink = -1.0;
 
+  /// Runs a SelfDeliver, a ContendedInject (the chain starts at the
+  /// origin) or a ContendedHop.
+  void fire(Event& event) override;
   void drop(SiteId to, const MessageBody& payload);
-  void deliver_self(SiteId from, SiteId to, const MessageBody& payload);
-  void forward(SiteId at, SiteId to,
-               std::shared_ptr<const MessageBody> payload, double size_units);
+  /// The message of `origin` has reached `cur` on its way to `to`: deliver
+  /// it there, or queue it on the next link of the path.
   void hop(SiteId origin, SiteId cur, SiteId to,
            std::shared_ptr<const MessageBody> payload, double size_units);
   /// The busy-until slot of the direction from `from` over its adjacency

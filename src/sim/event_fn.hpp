@@ -1,20 +1,21 @@
-// Small-buffer-optimized move-only `void()` callables for simulator events.
+// Small-buffer-optimized `void()` callables for simulator closures.
 //
-// Every protocol message used to cost a heap allocation just to enter the
-// event queue, because std::function heap-allocates any capture larger than
-// two pointers. BasicEventFn<N> instead stores captures up to N bytes in
-// place and falls back to the heap only for oversized captures, which no
-// hot-path closure has. Two instantiations cover the event population:
+// Every closure used to cost a heap allocation just to enter the event
+// queue, because std::function heap-allocates any capture larger than two
+// pointers. BasicEventFn<N> instead stores captures up to N bytes in place
+// and falls back to the heap only for oversized captures. It is built in
+// its slab slot (sim/simulator.hpp), runs there and is destroyed there, so
+// it never moves. Two instantiations cover the closure population:
 //
-//  * SmallEventFn (16-byte buffer, 24-byte object) — timers, completion
-//    notifications, "this plus a word or two" closures: the vast majority
-//    of events, packed nearly three per cache line in the slab;
-//  * EventFn (104-byte buffer) — sized so the SimNetwork/Transport delivery
-//    closures (receiver state + a full MessageBody) fit inline.
+//  * SmallEventFn (16-byte buffer, 24-byte object) — timers and "this plus
+//    a word or two" closures, packed nearly three per cache line;
+//  * EventFn (96-byte buffer) — sized so SimNetwork's delivery closures
+//    (receiver state + a full MessageBody) fit inline.
 //
-// Move semantics are "relocate": move-construct into the destination and
-// destroy the source, driven through a per-type ops table (one static per
-// instantiated callable type, no RTTI, no virtual dispatch).
+// The RTDS path posts typed events instead (sim/event.hpp); closures serve
+// the baselines, tests and benchmarks. Destruction and invocation go
+// through a per-type ops table (one static per callable type, no RTTI, no
+// virtual dispatch).
 #pragma once
 
 #include <cstddef>
@@ -35,79 +36,11 @@ class BasicEventFn {
           ? alignof(std::max_align_t)
           : alignof(void*);
 
-  BasicEventFn() = default;
-  BasicEventFn(std::nullptr_t) {}  // NOLINT: mirrors std::function
-
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, BasicEventFn> &&
-                !std::is_same_v<std::decay_t<F>, std::nullptr_t> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  BasicEventFn(F&& f) {  // NOLINT: implicit, like std::function
-    emplace_unchecked(std::forward<F>(f));
-  }
-
-  BasicEventFn(BasicEventFn&& other) noexcept { steal(other); }
-
-  BasicEventFn& operator=(BasicEventFn&& other) noexcept {
-    if (this != &other) {
-      reset();
-      steal(other);
-    }
-    return *this;
-  }
-
-  BasicEventFn& operator=(std::nullptr_t) {
-    reset();
-    return *this;
-  }
-
-  BasicEventFn(const BasicEventFn&) = delete;
-  BasicEventFn& operator=(const BasicEventFn&) = delete;
-
-  ~BasicEventFn() { reset(); }
-
-  explicit operator bool() const { return ops_ != nullptr; }
-  friend bool operator==(const BasicEventFn& f, std::nullptr_t) { return !f; }
-  friend bool operator!=(const BasicEventFn& f, std::nullptr_t) {
-    return static_cast<bool>(f);
-  }
-
-  void operator()() { ops_->invoke(storage_); }
-
-  /// Constructs the callable directly in this object's storage — the slab
-  /// fast path, which skips the temporary a construct-then-move-assign
-  /// would cost.
   template <typename F,
             typename = std::enable_if_t<
                 !std::is_same_v<std::decay_t<F>, BasicEventFn> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  void emplace(F&& f) {
-    reset();
-    emplace_unchecked(std::forward<F>(f));
-  }
-
-  /// True when F's captures live in the inline buffer (no allocation).
-  template <typename F>
-  static constexpr bool stores_inline() {
-    return fits_inline<std::decay_t<F>>();
-  }
-
- private:
-  struct Ops {
-    void (*invoke)(void*);
-    void (*relocate)(void* dst, void* src) noexcept;
-    void (*destroy)(void*) noexcept;
-  };
-
-  template <typename Fn>
-  static constexpr bool fits_inline() {
-    return sizeof(Fn) <= kInlineCapacity && alignof(Fn) <= kAlign &&
-           std::is_nothrow_move_constructible_v<Fn>;
-  }
-
-  template <typename F>
-  void emplace_unchecked(F&& f) {
+  explicit BasicEventFn(F&& f) {
     using Fn = std::decay_t<F>;
     if constexpr (fits_inline<Fn>()) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
@@ -119,15 +52,34 @@ class BasicEventFn {
     }
   }
 
+  BasicEventFn(const BasicEventFn&) = delete;
+  BasicEventFn& operator=(const BasicEventFn&) = delete;
+
+  ~BasicEventFn() { ops_->destroy(storage_); }
+
+  void operator()() { ops_->invoke(storage_); }
+
+  /// True when F's captures live in the inline buffer (no allocation).
+  template <typename F>
+  static constexpr bool stores_inline() {
+    return fits_inline<std::decay_t<F>>();
+  }
+
+ private:
+  struct Ops {
+    void (*invoke)(void*);
+    void (*destroy)(void*) noexcept;
+  };
+
+  template <typename Fn>
+  static constexpr bool fits_inline() {
+    return sizeof(Fn) <= kInlineCapacity && alignof(Fn) <= kAlign;
+  }
+
   template <typename Fn>
   static const Ops* inline_ops() {
     static constexpr Ops ops = {
         [](void* p) { (*static_cast<Fn*>(p))(); },
-        [](void* dst, void* src) noexcept {
-          Fn* s = static_cast<Fn*>(src);
-          ::new (dst) Fn(std::move(*s));
-          s->~Fn();
-        },
         [](void* p) noexcept { static_cast<Fn*>(p)->~Fn(); },
     };
     return &ops;
@@ -137,30 +89,12 @@ class BasicEventFn {
   static const Ops* heap_ops() {
     static constexpr Ops ops = {
         [](void* p) { (**static_cast<Fn**>(p))(); },
-        [](void* dst, void* src) noexcept {
-          ::new (dst) Fn*(*static_cast<Fn**>(src));
-        },
         [](void* p) noexcept { delete *static_cast<Fn**>(p); },
     };
     return &ops;
   }
 
-  void steal(BasicEventFn& other) noexcept {
-    if (other.ops_) {
-      other.ops_->relocate(storage_, other.storage_);
-      ops_ = other.ops_;
-      other.ops_ = nullptr;
-    }
-  }
-
-  void reset() noexcept {
-    if (ops_) {
-      ops_->destroy(storage_);
-      ops_ = nullptr;
-    }
-  }
-
-  const Ops* ops_ = nullptr;
+  const Ops* ops_;
   alignas(kAlign) unsigned char storage_[kInlineCapacity];
 };
 

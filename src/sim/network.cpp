@@ -9,12 +9,6 @@
 
 namespace rtds {
 
-// The zero-allocation contract: a MessageBody moves without throwing (so
-// delivery closures qualify for EventFn's inline buffer) and the closure
-// below actually fits that buffer.
-static_assert(std::is_nothrow_move_constructible_v<MessageBody>,
-              "MessageBody must be nothrow-movable for inline event storage");
-
 namespace {
 
 /// Stable obs name for every category in the tree's closed set (see the

@@ -2,8 +2,20 @@
 
 #include <algorithm>
 #include <bit>
+#include <type_traits>
 
 namespace rtds {
+namespace {
+
+/// Recycles a slab slot when the event run in it returns or throws.
+template <typename Slab>
+struct ReleaseOnExit {
+  Slab& slab;
+  std::uint32_t id;
+  ~ReleaseOnExit() { slab.release(id); }
+};
+
+}  // namespace
 
 void Simulator::pop_and_execute(std::size_t bucket) {
   const Entry top = min_[bucket];
@@ -28,31 +40,24 @@ void Simulator::pop_and_execute(std::size_t bucket) {
     // Slots are filled in scheduling order but consumed in time order, so
     // the slot walk is random: pull the likely next event's slot into cache
     // while this one executes.
-    const std::uint32_t ahead = min_[lowest_bucket()].slot;
-    if (ahead & kBigSlot)
-      big_slab_.prefetch(ahead & ~kBigSlot);
-    else
-      small_slab_.prefetch(ahead);
+    with_slot(min_[lowest_bucket()].slot,
+              [](auto& slab, std::uint32_t id) { slab.prefetch(id); });
   }
 
   now_ = std::bit_cast<Time>(top.time);
   ++executed_;
-  if (recording_) records_.erase(top.seq);
-  // Invoke in place: the slot stays occupied (not in the free list) while
-  // the event body runs, and chunk storage is stable even if the body
-  // schedules events that grow the slab. Recycle after.
-  if (top.slot & kBigSlot) {
-    const std::uint32_t id = top.slot & ~kBigSlot;
-    EventFn& fn = big_slab_.at(id);
-    fn();
-    fn = nullptr;
-    big_slab_.release(id);
-  } else {
-    SmallEventFn& fn = small_slab_.at(top.slot);
-    fn();
-    fn = nullptr;
-    small_slab_.release(top.slot);
-  }
+  // Run in place: the slot stays occupied (not in the free list) while the
+  // event runs, and chunk storage is stable even if it schedules events
+  // that grow the slab. Recycle after, also when the event throws.
+  with_slot(top.slot, [](auto& slab, std::uint32_t id) {
+    const ReleaseOnExit<std::remove_reference_t<decltype(slab)>> release{
+        slab, id};
+    auto& event = slab.at(id);
+    if constexpr (requires { event.owner; })
+      event.owner->fire(event.event);
+    else
+      event();
+  });
   if (observer_ != nullptr) observer_(observer_ctx_, now_);
 }
 
@@ -72,27 +77,21 @@ std::vector<Simulator::PendingEvent> Simulator::pending_events() const {
   std::sort(entries.begin(), entries.end(), earlier);
   std::vector<PendingEvent> out;
   out.reserve(entries.size());
-  for (const Entry& e : entries)
-    out.push_back({std::bit_cast<Time>(e.time), e.seq});
-  return out;
-}
-
-void Simulator::destroy_slot(std::uint32_t slot) {
-  if (slot & kBigSlot) {
-    const std::uint32_t id = slot & ~kBigSlot;
-    big_slab_.at(id) = nullptr;
-    big_slab_.release(id);
-  } else {
-    small_slab_.at(slot) = nullptr;
-    small_slab_.release(slot);
+  for (const Entry& e : entries) {
+    const Event* event = (e.slot & kTypedSlot)
+                             ? &typed_slab_.at(e.slot & kIdMask).event
+                             : nullptr;
+    out.push_back({std::bit_cast<Time>(e.time), e.seq, event});
   }
+  return out;
 }
 
 void Simulator::clear_pending() {
   for (std::uint32_t& head : head_) {
     for (std::uint32_t b = head; b != kNil; b = blocks_[b].next)
       for (std::uint32_t k = 0; k < blocks_[b].count; ++k)
-        destroy_slot(blocks_[b].entries[k].slot);
+        with_slot(blocks_[b].entries[k].slot,
+                  [](auto& slab, std::uint32_t id) { slab.release(id); });
     head = kNil;
   }
   std::fill(std::begin(occupied_), std::end(occupied_), 0);
@@ -100,7 +99,6 @@ void Simulator::clear_pending() {
   blocks_.clear();
   free_block_ = kNil;
   pending_ = 0;
-  records_.clear();
 }
 
 std::size_t Simulator::run(std::size_t max_events) {

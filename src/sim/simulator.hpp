@@ -5,10 +5,12 @@
 // reproducible bit-for-bit from its inputs. This is the substrate standing
 // in for the paper's physical "arbitrary wide network" testbed.
 //
-// The queue is allocation-free in steady state. Event callables are EventFn
-// (small-buffer-optimized, see event_fn.hpp) stored in a slab of fixed-size
-// slots recycled through a free list; the priority structure holds only
-// 24-byte POD entries (time bits, seq, slot).
+// The queue is allocation-free in steady state. An event is either a
+// closure (EventFn, small-buffer-optimized, see event_fn.hpp) or a typed
+// event (sim/event.hpp) returned to the EventOwner that posted it; each
+// lives in a slab of fixed-size slots recycled through a free list, and
+// the priority structure holds only 24-byte POD entries (time bits, seq,
+// slot).
 //
 // The priority structure is a monotone radix heap (Ahuja, Mehlhorn, Orlin &
 // Tarjan) over the 128-bit key (time bits, seq), read as hexadecimal digits.
@@ -34,12 +36,11 @@
 #include <memory>
 #include <new>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "sim/event.hpp"
 #include "sim/event_fn.hpp"
-#include "sim/event_record.hpp"
 #include "util/error.hpp"
 #include "util/time.hpp"
 
@@ -47,6 +48,11 @@ namespace rtds {
 
 class Simulator {
  public:
+  Simulator() = default;
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
+  ~Simulator() { clear_pending(); }
+
   Time now() const { return now_; }
 
   /// Schedules `fn` at absolute time `at` (>= now). The callable is
@@ -56,19 +62,11 @@ class Simulator {
             typename = std::enable_if_t<
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   void schedule_at(Time at, F&& fn) {
-    RTDS_REQUIRE_MSG(time_ge(at, now_),
-                     "cannot schedule in the past: " << at << " < " << now_);
-    if constexpr (std::is_same_v<std::decay_t<F>, EventFn>)
-      RTDS_REQUIRE(fn != nullptr);
-    std::uint32_t idx;
-    if constexpr (SmallEventFn::stores_inline<F>()) {
-      idx = small_slab_.place(std::forward<F>(fn));
-    } else {
-      idx = big_slab_.place(std::forward<F>(fn)) | kBigSlot;
-    }
-    // Clamp FP noise so now() never goes backwards.
-    push(Entry{time_bits(std::max(at, now_)), next_seq_++, idx});
-    ++pending_;
+    const std::uint64_t time = key_time(at);
+    if constexpr (SmallEventFn::stores_inline<F>())
+      enqueue(time, small_slab_.place(std::forward<F>(fn)));
+    else
+      enqueue(time, big_slab_.place(std::forward<F>(fn)) | kBigSlot);
   }
 
   /// Schedules `fn` after a non-negative delay.
@@ -77,6 +75,22 @@ class Simulator {
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   void schedule_in(Time delay, F&& fn) {
     schedule_at(now_ + delay, std::forward<F>(fn));
+  }
+
+  /// Posts a typed event (an Event or one of its alternatives) at absolute
+  /// time `at` (>= now); when it fires, `owner` runs it. Same ordering
+  /// contract as schedule_at.
+  template <typename E>
+  void post_at(Time at, EventOwner& owner, E&& event) {
+    const std::uint64_t time = key_time(at);
+    enqueue(time, typed_slab_.place(&owner, std::forward<E>(event)) |
+                      kTypedSlot);
+  }
+
+  /// Posts a typed event after a non-negative delay.
+  template <typename E>
+  void post_in(Time delay, EventOwner& owner, E&& event) {
+    post_at(now_ + delay, owner, std::forward<E>(event));
   }
 
   bool has_events() const { return pending_ != 0; }
@@ -121,42 +135,20 @@ class Simulator {
 
   // --- checkpoint support (snap/, DESIGN.md §14) ---
 
-  /// Turns event-record annotation on/off. While on, schedule sites on the
-  /// RTDS path attach an EventRecord to the event they just scheduled
-  /// (annotate), and executed events discard theirs — so at any instant
-  /// the record table describes exactly the pending events. Off (the
-  /// default), annotation costs one branch per schedule site.
-  void set_recording(bool on) {
-    recording_ = on;
-    if (!on) records_.clear();
-  }
-  bool recording() const { return recording_; }
-
-  /// Attaches `rec` to the most recently scheduled event. Must directly
-  /// follow the schedule_at/schedule_in call it describes.
-  void annotate(EventRecord rec) {
-    RTDS_REQUIRE_MSG(next_seq_ > 0, "annotate before any schedule");
-    records_[next_seq_ - 1] = std::move(rec);
-  }
-
-  /// The record attached to pending event `seq`, or nullptr (an opaque
-  /// event — Snapshot::save refuses to serialize those).
-  const EventRecord* record_of(std::uint64_t seq) const {
-    const auto it = records_.find(seq);
-    return it == records_.end() ? nullptr : &it->second;
-  }
-
-  /// (time, seq) of every pending event, in execution order — the
-  /// checkpoint's view of the queue. Copies; does not disturb the queue.
+  /// One pending event, as a checkpoint sees it: its key and its typed
+  /// event (valid until the queue next changes), or nullptr for a closure,
+  /// which no checkpoint can save.
   struct PendingEvent {
     Time at;
     std::uint64_t seq;
+    const Event* event;
   };
+  /// Every pending event, in execution order. Does not disturb the queue.
   std::vector<PendingEvent> pending_events() const;
 
-  /// Destroys every pending callable (slab slots recycled) and all
-  /// records. The restore path clears the constructor-scheduled queue
-  /// before re-posting the snapshot's events.
+  /// Destroys every pending event (slab slots recycled). The restore path
+  /// clears the constructor-scheduled queue before re-posting the
+  /// snapshot's events.
   void clear_pending();
 
   /// Restores the clock/counters captured by a snapshot. Only valid on a
@@ -206,6 +198,17 @@ class Simulator {
   /// is numeric order. -0.0 maps to +0.0.
   static std::uint64_t time_bits(Time t) {
     return std::bit_cast<std::uint64_t>(t == 0.0 ? 0.0 : t);
+  }
+  /// Checks `at` against the clock and returns its queue key, clamping FP
+  /// noise so now() never goes backwards.
+  std::uint64_t key_time(Time at) const {
+    RTDS_REQUIRE_MSG(time_ge(at, now_),
+                     "cannot schedule in the past: " << at << " < " << now_);
+    return time_bits(std::max(at, now_));
+  }
+  void enqueue(std::uint64_t time, std::uint32_t slot) {
+    push(Entry{time, next_seq_++, slot});
+    ++pending_;
   }
   static bool earlier(const Entry& a, const Entry& b) {
     return a.time < b.time || (a.time == b.time && a.seq < b.seq);
@@ -269,61 +272,55 @@ class Simulator {
   /// of `bucket` moves down to the buckets that key assigns them.
   void pop_and_execute(std::size_t bucket);
 
-  /// Fixed-size-slot pool for one callable size class. Slots live in raw
-  /// chunks (no value-init sweep); construction happens on first use via a
-  /// monotone bump cursor, recycling via a LIFO free list. Chunk storage
-  /// never moves, so an executing event may schedule freely.
-  template <typename FnT>
+  /// Fixed-size-slot pool for one event type. Slots live in raw chunks (no
+  /// value-init sweep) and hold a constructed T only while its event is
+  /// pending or running; ids come from a monotone bump cursor, then a LIFO
+  /// free list. Chunk storage never moves, so an executing event may
+  /// schedule freely.
+  template <typename T>
   class Slab {
    public:
     static constexpr std::uint32_t kChunkShift = 8;
     static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
 
-    Slab() = default;
-    Slab(const Slab&) = delete;
-    Slab& operator=(const Slab&) = delete;
-    ~Slab() {
-      // Every id below the bump cursor holds a constructed FnT (freed slots
-      // were reset to empty, pending ones still own their callable).
-      for (std::uint32_t id = 0; id < bump_next_; ++id) at(id).~FnT();
-    }
-
-    /// Constructs `fn` in a slot and returns its id.
-    template <typename F>
-    std::uint32_t place(F&& fn) {
+    /// Constructs a T from `args` in a slot and returns its id.
+    template <typename... A>
+    std::uint32_t place(A&&... args) {
+      std::uint32_t id;
       if (!free_.empty()) {
-        const std::uint32_t id = free_.back();
+        id = free_.back();
         free_.pop_back();
-        at(id).emplace(std::forward<F>(fn));
-        return id;
+      } else {
+        if (bump_next_ == bump_end_) grow();
+        id = bump_next_++;
       }
-      if (bump_next_ == bump_end_) grow();
-      const std::uint32_t id = bump_next_++;
-      ::new (static_cast<void*>(addr(id))) FnT(std::forward<F>(fn));
+      ::new (static_cast<void*>(addr(id))) T(std::forward<A>(args)...);
       return id;
     }
 
-    FnT& at(std::uint32_t id) {
-      return *std::launder(reinterpret_cast<FnT*>(addr(id)));
+    T& at(std::uint32_t id) {
+      return *std::launder(reinterpret_cast<T*>(addr(id)));
+    }
+    const T& at(std::uint32_t id) const {
+      return *std::launder(reinterpret_cast<const T*>(addr(id)));
     }
 
-    void prefetch(std::uint32_t id) const {
-      __builtin_prefetch(chunks_[id >> kChunkShift].get() +
-                         sizeof(FnT) * (id & (kChunkSize - 1)));
-    }
+    void prefetch(std::uint32_t id) const { __builtin_prefetch(addr(id)); }
 
-    /// Recycles a slot whose callable has already been reset to empty.
-    void release(std::uint32_t id) { free_.push_back(id); }
+    /// Destroys the slot's T and recycles the slot.
+    void release(std::uint32_t id) {
+      at(id).~T();
+      free_.push_back(id);
+    }
 
    private:
-    std::byte* addr(std::uint32_t id) {
+    std::byte* addr(std::uint32_t id) const {
       return chunks_[id >> kChunkShift].get() +
-             sizeof(FnT) * (id & (kChunkSize - 1));
+             sizeof(T) * (id & (kChunkSize - 1));
     }
     void grow() {
       chunks_.push_back(
-          std::make_unique_for_overwrite<std::byte[]>(kChunkSize *
-                                                      sizeof(FnT)));
+          std::make_unique_for_overwrite<std::byte[]>(kChunkSize * sizeof(T)));
       bump_next_ = (static_cast<std::uint32_t>(chunks_.size()) - 1)
                    << kChunkShift;
       bump_end_ = bump_next_ + kChunkSize;
@@ -335,22 +332,36 @@ class Simulator {
     std::uint32_t bump_end_ = 0;
   };
 
-  /// Node::slot tag: big-slab ids have the top bit set.
-  static constexpr std::uint32_t kBigSlot = 0x8000'0000u;
+  /// A typed event and the owner that runs it.
+  struct Posted {
+    template <typename E>
+    Posted(EventOwner* o, E&& e) : owner(o), event(std::forward<E>(e)) {}
+    EventOwner* owner;
+    Event event;
+  };
+  static_assert(sizeof(Posted) <= sizeof(EventFn),
+                "a typed event slot may not outgrow a closure slot");
 
-  /// Recycles one slot given its tagged Node::slot value (the callable is
-  /// destroyed first; used by clear_pending()).
-  void destroy_slot(std::uint32_t slot);
+  /// Entry::slot tag in the top two bits: which slab holds the event.
+  static constexpr unsigned kTagShift = 30;
+  static constexpr std::uint32_t kBigSlot = 1u << kTagShift;
+  static constexpr std::uint32_t kTypedSlot = 2u << kTagShift;
+  static constexpr std::uint32_t kIdMask = kBigSlot - 1;
+
+  /// Calls f(slab, id) for the slab and id a tagged slot names.
+  template <typename F>
+  void with_slot(std::uint32_t slot, F&& f) {
+    const std::uint32_t id = slot & kIdMask;
+    if (slot & kTypedSlot) f(typed_slab_, id);
+    else if (slot & kBigSlot) f(big_slab_, id);
+    else f(small_slab_, id);
+  }
 
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   EventObserver observer_ = nullptr;
   void* observer_ctx_ = nullptr;
-  bool recording_ = false;
-  /// seq -> replayable description of the pending event (recording only).
-  std::unordered_map<std::uint64_t, EventRecord> records_;
-
   /// Block pool: bucket lists and the free list link through Block::next.
   std::vector<Block> blocks_;
   std::uint32_t free_block_ = kNil;
@@ -371,6 +382,7 @@ class Simulator {
 
   Slab<SmallEventFn> small_slab_;
   Slab<EventFn> big_slab_;
+  Slab<Posted> typed_slab_;
 };
 
 }  // namespace rtds

@@ -18,7 +18,7 @@
 // arrays, vectors, optionals, sorted maps and interned shared pointers.
 // Every decoded element count is checked against the bytes left in the
 // section before anything is allocated. An `if constexpr (kLoading<Ar>)`
-// block inside an io may only validate, rebuild derived state or re-post
+// block inside an io may only validate, rebuild derived state or post
 // events; it never reads a field.
 //
 // Philosophy (PhoenixOS-style): capture *live* state, recompute *derived*
@@ -56,7 +56,6 @@ struct MessageStats;
 struct Job;
 struct TrialMapping;
 struct JobDecision;
-struct EventRecord;
 }  // namespace rtds
 namespace rtds::fault {
 class FaultState;
@@ -82,9 +81,9 @@ template <class Ar, class T>
 using Ref = std::conditional_t<kLoading<Ar>, T&, const T&>;
 
 /// Shared-pointer interning: bulky immutable payloads (Jobs, TrialMappings)
-/// are shared across node queues, active initiations and pending-event
-/// records. The first encounter serializes the body and assigns the next
-/// dense index; later encounters serialize the index only — so the restored
+/// are shared across node queues, active initiations and pending events.
+/// The first encounter serializes the body and assigns the next dense
+/// index; later encounters serialize the index only — so the restored
 /// object graph shares exactly like the live one, and a job referenced from
 /// five places costs one body.
 template <class Ar, class T>
@@ -136,14 +135,10 @@ struct Access {
   template <class Ar>
   static void io(Ar&, Context<Ar>&, Ref<Ar, RtdsNode>);
   /// The sections clock, tables, fault, checker, nodes, transport, system
-  /// and events: every pending event's (time, record) pair in execution
-  /// order. Loading re-posts each event through repost().
+  /// and events: every pending typed event with its time, in execution
+  /// order. Loading validates each event and posts it back to its owner.
   template <class Ar>
   static void io(Ar&, Context<Ar>&, Ref<Ar, RtdsSystem>);
-  /// Re-schedules a decoded event through the private entry point its
-  /// original closure called and re-annotates it, so a resumed run can
-  /// itself be snapshotted again.
-  static void repost(Reader& r, RtdsSystem& sys, Time at, EventRecord rec);
 
   // --- identity hashes ---
   /// Content hash of the static graph (sites, powers, links).

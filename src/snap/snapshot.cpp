@@ -8,12 +8,10 @@
 // subsystem; loading runs the same io against a freshly constructed
 // RtdsSystem of the same (topology, config) — enforced by the header's
 // config hash — and overwrites exactly the state a run mutates. Pending
-// events travel as EventRecords (sim/event_record.hpp) and are re-posted
-// through the original private entry points in saved execution order, so
-// the re-posted queue pops identically to the saved one: re-posting in
-// ascending (time, seq) order hands out ascending fresh sequence numbers,
-// preserving every tie-break, and everything scheduled after resume draws
-// sequences above them all.
+// events are typed data (sim/event.hpp): save writes them straight from
+// the queue, and load validates each and posts it back to its owner in
+// saved execution order, so the restored queue pops identically to the
+// saved one.
 #include "snap/snapshot.hpp"
 
 #include <cstddef>
@@ -67,9 +65,9 @@ void column(Ar& ar, V& v, M member) {
 /// NOT the MessageBody variant index, which shifts whenever MessageBody
 /// grows an alternative. Only the RTDS protocol messages (plus monostate
 /// and the tests' debug string) are checkpointable: the APSP exchange runs
-/// on throwaway simulators and the baseline policies never annotate, so
-/// meeting one of their payloads in a checkpoint is a contract violation,
-/// not a format gap.
+/// on throwaway simulators and the baseline policies post no typed events,
+/// so meeting one of their payloads in a checkpoint is a contract
+/// violation, not a format gap.
 using Tagged = std::tuple<std::monostate, EnrollRequest, EnrollReply,
                           UnlockMsg, ValidateRequest, ValidateReply,
                           DispatchMsg, DispatchAck, std::string>;
@@ -136,31 +134,107 @@ void payload_io(Ar& ar, Context<Ar>& ctx, Ref<Ar, MessageBody> body) {
   }(std::make_index_sequence<kNoTag>{});
 }
 
-/// A pending event's replay record; its type-erased pointers travel as a
-/// presence flag plus the typed value.
+/// A site id an event reads: loading rejects one outside the topology.
+template <class S>
+struct SiteSlot {
+  S& site;
+  std::size_t sites;
+  template <class Ar>
+  void io(Ar& ar) const {
+    field(ar, site);
+    if constexpr (kLoading<Ar>) {
+      if (site >= sites)
+        ar.fail("event names site " + std::to_string(site) +
+                " outside the topology");
+    }
+  }
+};
+
+/// A pending typed event as one flat record: u8 kind (the Event
+/// alternative index); the slots (small, site, peer, dest, job, task, a,
+/// x, y), zero where the kind reads nothing (a slot written as a typed
+/// zero temporary is read and dropped on load); a job presence flag and
+/// the job; a payload presence flag and the payload.
 template <class Ar>
-void record_io(Ar& ar, Context<Ar>& ctx, Ref<Ar, EventRecord> rec) {
-  fields(ar, as_u8<EventRecord::Kind::kContendedHop>(rec.kind, "event kind"),
-         rec.small, rec.site, rec.peer, rec.dest, rec.job, rec.task, rec.a,
-         rec.x, rec.y);
-  bool has_job = rec.job_ref != nullptr;
-  field(ar, has_job);
-  if (has_job) {
-    auto job = std::static_pointer_cast<const Job>(rec.job_ref);
-    field(ar, in(ctx, job));
-    if constexpr (kLoading<Ar>) rec.job_ref = std::move(job);
-  }
-  bool has_payload = rec.payload != nullptr;
-  field(ar, has_payload);
-  if (!has_payload) return;
+void event_io(Ar& ar, Context<Ar>& ctx, std::size_t sites,
+              Ref<Ar, Event> event) {
+  using u8 = std::uint8_t;
+  using u32 = std::uint32_t;
+  using u64 = std::uint64_t;
+  auto kind = static_cast<std::uint8_t>(event.index());
+  field(ar, kind);
   if constexpr (kLoading<Ar>) {
-    auto body = std::make_shared<MessageBody>();
-    payload_io(ar, ctx, *body);
-    rec.payload = std::move(body);
-  } else {
-    payload_io(ar, ctx,
-               *std::static_pointer_cast<const MessageBody>(rec.payload));
+    if (kind == 0 || kind >= std::variant_size_v<Event>)
+      ar.fail("event kind " + std::to_string(kind) + " out of range");
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+      ((kind == I ? void(event.template emplace<I>()) : void()), ...);
+    }(std::make_index_sequence<std::variant_size_v<Event>>{});
   }
+  std::visit(
+      [&](auto& e) {
+        using E = std::remove_cvref_t<decltype(e)>;
+        const auto site = [&](auto& s) {
+          return SiteSlot<std::remove_reference_t<decltype(s)>>{s, sites};
+        };
+        if constexpr (std::is_same_v<E, ev::Fault>) {
+          fields(ar, as_u8<fault::FaultKind::kHeal>(e.fault.kind, "fault kind"),
+                 e.fault.a, e.fault.b, u32{}, u64{}, u32{}, u64{}, e.fault.at,
+                 0.0);
+        } else if constexpr (std::is_same_v<E, ev::Arrival> ||
+                             std::is_same_v<E, ev::StreamArrival> ||
+                             std::is_same_v<E, ev::StartNext>) {
+          fields(ar, u8{}, site(e.site), u32{}, u32{}, u64{}, u32{}, u64{},
+                 0.0, 0.0);
+        } else if constexpr (std::is_same_v<E, ev::EnrollTimeout> ||
+                             std::is_same_v<E, ev::Mapper> ||
+                             std::is_same_v<E, ev::ValidateTimeout>) {
+          fields(ar, u8{}, site(e.site), u32{}, u32{}, e.job, u32{}, u64{},
+                 0.0, 0.0);
+        } else if constexpr (std::is_same_v<E, ev::RetryTimer>) {
+          fields(ar, u8{}, site(e.site), site(e.peer), u32{}, e.job, u32{},
+                 e.gen, e.rto, 0.0);
+        } else if constexpr (std::is_same_v<E, ev::Completion>) {
+          fields(ar, u8{}, site(e.site), u32{}, u32{}, e.job, e.task, e.epoch,
+                 e.end, 0.0);
+        } else if constexpr (std::is_same_v<E, ev::LeaseExpiry>) {
+          fields(ar, u8{}, site(e.site), u32{}, u32{}, u64{}, u32{},
+                 e.lock_seq, 0.0, 0.0);
+        } else if constexpr (std::is_same_v<E, ev::SelfDeliver> ||
+                             std::is_same_v<E, ev::Deliver>) {
+          fields(ar, u8{}, site(e.from), site(e.to), u32{}, u64{}, u32{},
+                 u64{}, 0.0, 0.0);
+        } else if constexpr (std::is_same_v<E, ev::ContendedInject>) {
+          fields(ar, u8{}, site(e.from), site(e.to), u32{}, u64{}, u32{},
+                 u64{}, 0.0, e.size_units);
+        } else if constexpr (std::is_same_v<E, ev::ContendedHop>) {
+          fields(ar, u8{}, site(e.origin), site(e.cur), site(e.dest), u64{},
+                 u32{}, u64{}, 0.0, e.size_units);
+        }
+        // The job and the payload travel exactly when the kind holds them.
+        constexpr bool has_job = requires { e.job.get(); };
+        constexpr bool has_body = requires { e.body; };
+        agreed(ar, has_job, has_job ? "arrival event without a job"
+                                    : "event carries a job it does not read");
+        if constexpr (has_job) {
+          field(ar, in(ctx, e.job));
+          if constexpr (kLoading<Ar>) {
+            if (e.job == nullptr) ar.fail("arrival event without a job");
+          }
+        }
+        agreed(ar, has_body,
+               has_body ? "message event without a payload"
+                        : "event carries a payload it does not read");
+        if constexpr (!requires { e.body.get(); }) {
+          if constexpr (has_body) payload_io(ar, ctx, e.body);
+        } else if constexpr (kLoading<Ar>) {
+          auto body = std::make_shared<MessageBody>();
+          payload_io(ar, ctx, *body);
+          e.body = std::move(body);
+        } else {
+          payload_io(ar, ctx, *e.body);
+        }
+      },
+      event);
 }
 
 }  // namespace
@@ -490,10 +564,6 @@ void Access::io(Ar& ar, Context<Ar>& ctx, Ref<Ar, RtdsNode> n) {
 
 template <class Ar>
 void Access::io(Ar& ar, Context<Ar>& ctx, Ref<Ar, RtdsSystem> sys) {
-  RTDS_REQUIRE_MSG(sys.cfg_.record_events && sys.sim_.recording(),
-                   "snapshots require SystemConfig::record_events = true "
-                   "from construction on both the saved and the restored "
-                   "system (pending events carry replay records)");
   if constexpr (kLoading<Ar>) {
     RTDS_REQUIRE_MSG(!sys.ran_,
                      "snapshot restore target must be freshly constructed "
@@ -582,118 +652,52 @@ void Access::io(Ar& ar, Context<Ar>& ctx, Ref<Ar, RtdsSystem> sys) {
     fields(ar, sys.early_failures_, sys.ran_, sys.last_stream_release_);
   });
 
-  // Every pending event's (time, record) pair, in execution order.
+  // Every pending event's (time, typed event) pair, in execution order.
+  // Loading posts each back in that order: fresh sequence numbers >= the
+  // saved next_seq keep every tie-break, and everything scheduled after
+  // resume draws sequences above them all.
   section(ar, "events", [&] {
     std::vector<Simulator::PendingEvent> pending;
     if constexpr (!kLoading<Ar>) pending = sys.sim_.pending_events();
     const std::size_t n = count(ar, pending.size(), 8 + 2 + 3 * 4 + 8 + 4 +
                                                         8 + 2 * 8 + 2);
     for (std::size_t i = 0; i < n; ++i) {
-      Time at = 0.0;
-      EventRecord rec;
       if constexpr (!kLoading<Ar>) {
-        const EventRecord* saved = sys.sim_.record_of(pending[i].seq);
-        RTDS_REQUIRE_MSG(saved != nullptr,
-                         "pending event seq "
-                             << pending[i].seq << " at t=" << pending[i].at
-                             << " carries no replay record — this event "
-                                "source does not support checkpointing");
-        at = pending[i].at;
-        rec = *saved;
+        const Simulator::PendingEvent& p = pending[i];
+        RTDS_REQUIRE_MSG(p.event != nullptr,
+                         "pending event seq " << p.seq << " at t=" << p.at
+                             << " is a closure: only typed events "
+                                "(sim/event.hpp) can be checkpointed");
+        field(ar, p.at);
+        event_io(ar, ctx, sys.nodes_.size(), *p.event);
+      } else {
+        Time at = 0.0;
+        Event event;
+        field(ar, at);
+        event_io(ar, ctx, sys.nodes_.size(), event);
+        const bool ideal = sys.cfg_.transport_model == TransportModel::kIdeal;
+        if (std::holds_alternative<ev::Deliver>(event) && !ideal)
+          ar.fail("ideal-transport event under a contended config");
+        if ((std::holds_alternative<ev::ContendedInject>(event) ||
+             std::holds_alternative<ev::ContendedHop>(event)) &&
+            ideal)
+          ar.fail("contended-transport event under an ideal config");
+        if (const auto* f = std::get_if<ev::Fault>(&event)) {
+          const std::string why = sys.fault_state_ == nullptr
+                                      ? "without a fault plan"
+                                      : f->fault.problem(sys.topo_);
+          if (!why.empty()) ar.fail("fault event " + why);
+        }
+        // The message kinds go back to the transport, the rest to the
+        // system.
+        const bool message = std::visit(
+            [](const auto& e) { return requires { e.body; }; }, event);
+        sys.sim_.post_at(
+            at, message ? static_cast<EventOwner&>(*sys.transport_) : sys,
+            std::move(event));
       }
-      field(ar, at);
-      record_io(ar, ctx, rec);
-      if constexpr (kLoading<Ar>) repost(ar, sys, at, std::move(rec));
     }
   });
-}
-
-void Access::repost(Reader& r, RtdsSystem& sys, Time at, EventRecord rec) {
-  using Kind = EventRecord::Kind;
-  Simulator& sim = sys.sim_;
-  auto* ideal = dynamic_cast<IdealTransport*>(sys.transport_.get());
-  auto* cont = dynamic_cast<ContendedTransport*>(sys.transport_.get());
-  const auto node = [&]() -> RtdsNode* {
-    if (rec.site >= sys.nodes_.size())
-      r.fail("event site outside the topology");
-    return sys.nodes_[rec.site].get();
-  };
-  const auto job = [&](const char* what) {
-    auto p = std::static_pointer_cast<const Job>(rec.job_ref);
-    if (p == nullptr) r.fail(std::string(what) + " event without a job");
-    return p;
-  };
-  const auto body = [&]() {
-    auto p = std::static_pointer_cast<const MessageBody>(rec.payload);
-    if (p == nullptr) r.fail("message event without a payload");
-    return p;
-  };
-  const auto need = [&](const void* transport, const char* what) {
-    if (transport == nullptr) r.fail(what);
-  };
-  // Re-post through the entry point the original closure called; each
-  // draws a fresh sequence >= the saved next_seq, in saved execution
-  // order, so ties break exactly as before. Re-annotating keeps the
-  // resumed run itself checkpointable.
-  const auto post = [&](auto fire) {
-    sim.schedule_at(at, std::move(fire));
-    sim.annotate(std::move(rec));
-  };
-  const SiteId from = rec.site, to = rec.peer;
-  switch (rec.kind) {
-    case Kind::kNone:
-      r.fail("event record without a kind");
-    case Kind::kFault:
-      return post([&sys, ev = fault::FaultEvent{
-                             rec.x, static_cast<fault::FaultKind>(rec.small),
-                             rec.site, rec.peer}] { sys.apply_fault(ev); });
-    case Kind::kArrival:
-      return post([n = node(), j = job("arrival")] { n->submit(j); });
-    case Kind::kStreamArrival:
-      node();  // range check only
-      return post([&sys, a = JobArrival{from, job("stream arrival")}] {
-        sys.fire_stream_arrival(a);
-      });
-    case Kind::kEnrollTimeout:
-      return post([n = node(), j = rec.job] { n->on_enroll_timeout(j); });
-    case Kind::kMapper:
-      return post([n = node(), j = rec.job] { n->run_mapper(j); });
-    case Kind::kValidateTimeout:
-      return post([n = node(), j = rec.job] { n->on_validate_timeout(j); });
-    case Kind::kRetryTimer:
-      return post([n = node(), j = rec.job, to, gen = rec.a, rto = rec.x] {
-        n->on_retry_timer(j, to, gen, rto);
-      });
-    case Kind::kCompletion:
-      return post([n = node(), j = rec.job, task = rec.task, end = rec.x,
-                   epoch = rec.a] { n->fire_completion(j, task, end, epoch); });
-    case Kind::kLeaseExpiry:
-      return post([n = node(), seq = rec.a] { n->on_lease_expired(seq); });
-    case Kind::kStartNext:
-      return post([n = node()] { n->fire_start_next(); });
-    case Kind::kSelfDeliver:
-      if (ideal != nullptr)
-        return post([ideal, from, to, p = body()] {
-          ideal->deliver_self(from, to, *p);
-        });
-      return post([cont, from, to, p = body()] {
-        cont->deliver_self(from, to, *p);
-      });
-    case Kind::kDeliver:
-      need(ideal, "ideal-transport event under a contended config");
-      return post([ideal, from, to, p = body()] {
-        ideal->deliver(from, to, *p);
-      });
-    case Kind::kContendedInject:
-      need(cont, "contended-transport event under an ideal config");
-      return post([cont, from, to, p = body(), size = rec.y] {
-        cont->forward(from, to, p, size);
-      });
-    case Kind::kContendedHop:
-      need(cont, "contended-transport event under an ideal config");
-      return post([cont, origin = from, cur = to, dest = rec.dest, p = body(),
-                   size = rec.y] { cont->hop(origin, cur, dest, p, size); });
-  }
 }
 
 template <class Ar>

@@ -2,8 +2,8 @@
 // (DESIGN.md §14).
 //
 // A snapshot captures everything the remaining run depends on: the
-// simulator clock and every pending event (via the EventRecord side
-// channel), the repair-mutated routing tables, the fault state and its
+// simulator clock and every pending event (typed data, sim/event.hpp),
+// the repair-mutated routing tables, the fault state and its
 // perturbation RNG, every node's protocol state machine (locks, leases,
 // dedup windows, retransmit slots, admission queues, scheduling plans),
 // the transport queues and the run's accumulated metrics. Restoring into
@@ -12,10 +12,9 @@
 // produces byte-identical results to the uninterrupted run (pinned by
 // tests/snapshot_test.cpp).
 //
-// Requirements on the saved system:
-//  * SystemConfig::record_events was true from construction (otherwise
-//    pending events carry no replayable record and save() throws).
-//  * The restore target is freshly constructed and never stepped.
+// Any event boundary of a run can be saved, with nothing switched on in
+// advance; save() throws only if a closure (Simulator::schedule_at) is
+// pending. The restore target must be freshly constructed, never stepped.
 //
 // The caller drives the run through the checkpointable phases
 // (RtdsSystem::start / step_events / run_events_until / finish):
@@ -60,17 +59,18 @@ struct SnapshotExtras {
 
 struct Snapshot {
   /// Serializes the full live state of `sys`. Throws ContractViolation if
-  /// recording is off or any pending event carries no replay record.
+  /// a pending event is a closure rather than a typed event.
   static std::string save(const RtdsSystem& sys,
                           const SnapshotExtras& extras = {});
   /// save() + atomic publish (write to `path`.tmp, rename over `path`).
   static void save_file(const RtdsSystem& sys, const std::string& path,
                         const SnapshotExtras& extras = {});
 
-  /// Restores a snapshot into `sys`, which must be freshly constructed
-  /// from the same (topology, config) with record_events on. Rejects
-  /// wrong magic, version skew, config-hash mismatch, checksum failures
-  /// and truncation with ContractViolations naming section and offset.
+  /// Restores a snapshot into `sys`, freshly constructed from the same
+  /// (topology, config). Rejects wrong magic, version skew, config-hash
+  /// mismatch, checksum failures, truncation and events naming sites or
+  /// links off the topology with ContractViolations naming section and
+  /// offset.
   static void load(std::string bytes, RtdsSystem& sys,
                    const SnapshotExtras& extras = {});
   static void load_file(const std::string& path, RtdsSystem& sys,

@@ -10,7 +10,9 @@
 //      transport models, including a second-generation snapshot taken
 //      *after* a resume — and the invariant checker's derived repair-audit
 //      state is rebuilt, not trusted, after a restore;
-//  (b) recording parity: turning record_events on changes no output bytes;
+//  (b) any cut: a run never told it would be checkpointed is saved every
+//      97th event, and every save resumes to the uninterrupted bytes; a
+//      pending closure is refused;
 //  (c) sweep journal: a journal-checkpointed sweep reproduces the plain
 //      sweep's aggregates at --jobs 1/3/8, and resuming from a truncated
 //      journal (the SIGKILL artifact) still lands bit-identical;
@@ -102,7 +104,6 @@ ChaosCase make_chaos_case(std::uint64_t seed, const std::string& transport) {
       fault::fault_spec_from(params,
                              fault::fault_horizon(cc.condition.arrivals)),
       cc.condition.topo);
-  cc.cfg.record_events = true;
   return cc;
 }
 
@@ -267,24 +268,66 @@ TEST(SnapshotResume, NextRepairAuditReportsCorruptionAfterResume) {
   EXPECT_EQ(chk.violations() - before, fresh.violations());
 }
 
-// ---------------------------------------------- (b) recording parity --
+// ------------------------------------------------ (b) any cut, any run --
 
-TEST(SnapshotRecording, RecordingChangesNoOutputBytes) {
-  ChaosCase cc = make_chaos_case(5, "ideal");
-  const RunOutput recorded = run_uninterrupted(cc);
-  cc.cfg.record_events = false;
-  const RunOutput plain = run_uninterrupted(cc);
-  EXPECT_EQ(recorded.metrics, plain.metrics)
-      << "record_events must be a pure side channel";
-  EXPECT_EQ(recorded.obs, plain.obs);
+// A run that was never told it would be checkpointed can be saved at any
+// event boundary: one pass saves every 97th event, and each save resumed
+// in a fresh system finishes byte-identical to the uninterrupted run.
+TEST(SnapshotAnyCut, EverySaveResumesToTheUninterruptedRun) {
+  for (const char* transport : {"ideal", "contended"}) {
+    SCOPED_TRACE(transport);
+    const ChaosCase cc = make_chaos_case(4, transport);
+    const RunOutput reference = run_uninterrupted(cc);
+    std::vector<std::string> saves;
+    {
+      obs::MetricsBuffer buf;
+      RtdsSystem sys(cc.condition.topo, cc.cfg);
+      obs::Scope scope(&buf);
+      sys.start(cc.condition.arrivals);
+      SnapshotExtras extras;
+      extras.metrics = &buf;
+      while (sys.step_events(97) == 97)
+        saves.push_back(Snapshot::save(sys, extras));
+    }
+    ASSERT_GT(saves.size(), 10u);
+    for (std::size_t i = 0; i < saves.size(); ++i) {
+      obs::MetricsBuffer buf;
+      RtdsSystem resumed(cc.condition.topo, cc.cfg);
+      SnapshotExtras extras;
+      extras.metrics = &buf;
+      Snapshot::load(std::move(saves[i]), resumed, extras);
+      {
+        obs::Scope scope(&buf);
+        drain(resumed);
+      }
+      EXPECT_EQ(metrics_bytes(resumed.metrics()), reference.metrics)
+          << "RunMetrics diverged after resume at event " << 97 * (i + 1);
+      EXPECT_EQ(obs_bytes(buf), reference.obs)
+          << "obs metrics JSONL diverged after resume at event " << 97 * (i + 1);
+    }
+  }
 }
 
-TEST(SnapshotRecording, SaveWithoutRecordingThrows) {
-  ChaosCase cc = make_chaos_case(5, "ideal");
-  cc.cfg.record_events = false;
+// Only typed events can be saved: a closure scheduled straight on the
+// system's simulator makes save throw, naming the closure's time and seq.
+TEST(SnapshotAnyCut, PendingClosureIsRefused) {
+  const ChaosCase cc = make_chaos_case(5, "ideal");
   RtdsSystem sys(cc.condition.topo, cc.cfg);
   sys.start(cc.condition.arrivals);
-  EXPECT_THROW(Snapshot::save(sys), ContractViolation);
+  sys.step_events(50);
+  Simulator& sim = sys.simulator();
+  const Time at = sim.now() + 1.0;
+  const std::uint64_t seq = sim.next_seq();
+  sim.schedule_at(at, [] {});
+  std::ostringstream where;
+  where << "seq " << seq << " at t=" << at;
+  try {
+    Snapshot::save(sys);
+    ADD_FAILURE() << "a pending closure was saved";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find(where.str()), std::string::npos)
+        << e.what();
+  }
 }
 
 // ------------------------------------------------ (c) sweep journal --
@@ -605,6 +648,81 @@ TEST(SnapshotNegative, PendingArrivalForUnknownSiteThrows) {
               std::string::npos)
         << e.what();
   }
+}
+
+/// Steps the chaos fixture until the next event to fire is `E` (and
+/// passes `want`), then saves: the "events" section then opens with that
+/// event's flat record — u64 count, f64 time, u8 kind, u8 small, then the
+/// u32 site, peer and dest slots at body offsets 18, 22 and 26.
+template <class E, class Pred>
+std::string snapshot_before(const ChaosCase& cc, Pred want) {
+  RtdsSystem sys(cc.condition.topo, cc.cfg);
+  sys.start(cc.condition.arrivals);
+  for (;;) {
+    const auto pending = sys.simulator().pending_events();
+    RTDS_REQUIRE_MSG(!pending.empty(), "the run never reached the event");
+    const E* next = std::get_if<E>(pending.front().event);
+    if (next != nullptr && want(*next)) return Snapshot::save(sys);
+    sys.step_events(1);
+  }
+}
+template <class E>
+std::string snapshot_before(const ChaosCase& cc) {
+  return snapshot_before<E>(cc, [](const E&) { return true; });
+}
+
+/// `good` with the events section's byte `off` (a u8) or u32 at `off`
+/// overwritten and the section resealed.
+std::string patched_event(const std::string& good, std::size_t off,
+                          std::uint32_t v, bool byte = false) {
+  const SectionSpan s = section_named(sections_of(good), "events");
+  std::string bad = good;
+  if (byte) bad[s.body + off] = static_cast<char>(v);
+  else write_u32(bad, s.body + off, v);
+  reseal(bad, s);
+  return bad;
+}
+
+// Every site id a loaded event reads indexes per-site state when it
+// fires: one outside the topology must fail as a located
+// ContractViolation at load, never reach the transport or the fault view.
+TEST(SnapshotNegative, PendingDeliveryForUnknownSiteThrows) {
+  const ChaosCase cc = make_chaos_case(11, "ideal");
+  const std::string good = snapshot_before<ev::Deliver>(cc);
+  expect_load_violation(cc, patched_event(good, 22, 7000),
+                        "delivery to site 7000");
+  expect_load_violation(cc, patched_event(good, 18, 7000),
+                        "delivery from site 7000");
+}
+
+TEST(SnapshotNegative, PendingHopPastTheTopologyThrows) {
+  const ChaosCase cc = make_chaos_case(11, "contended");
+  const std::string good = snapshot_before<ev::ContendedHop>(cc);
+  expect_load_violation(cc, patched_event(good, 26, 7000),
+                        "hop toward site 7000");
+  expect_load_violation(cc, patched_event(good, 22, 7000),
+                        "hop reaching site 7000");
+}
+
+TEST(SnapshotNegative, PendingFaultForUnknownSiteThrows) {
+  const ChaosCase cc = make_chaos_case(11, "ideal");
+  const std::string good =
+      snapshot_before<ev::Fault>(cc, [](const ev::Fault& f) {
+        return f.fault.kind == fault::FaultKind::kSiteDown;
+      });
+  expect_load_violation(cc, patched_event(good, 18, 7000),
+                        "crash of site 7000");
+  expect_load_violation(
+      cc, patched_event(good, 17, 6, /*byte=*/true), "unknown fault kind");
+  // A link event needs a link the topology has.
+  expect_load_violation(
+      cc,
+      patched_event(patched_event(good, 17,
+                                  static_cast<std::uint32_t>(
+                                      fault::FaultKind::kLinkDown),
+                                  /*byte=*/true),
+                    22, 7000),
+      "link to site 7000");
 }
 
 // A contended transport's busy table may only name directed links of the
