@@ -640,17 +640,17 @@ void BM_WarmStartBringUp(benchmark::State& state) {
   const bool warm = state.range(0) != 0;
   Rng rng(18);
   const Topology topo = make_grid(16, 16, DelayRange{0.5, 2.0}, rng);
+  SystemConfig cfg;
+  cfg.context.warm_start = warm;
   snap::warm_start_clear();
-  snap::set_warm_start_enabled(warm);
   if (warm) {  // populate the cache
-    RtdsSystem prime(topo, SystemConfig{});
+    RtdsSystem prime(topo, cfg);
     benchmark::DoNotOptimize(prime.metrics().arrived);
   }
   for (auto _ : state) {
-    RtdsSystem system(topo, SystemConfig{});
+    RtdsSystem system(topo, cfg);
     benchmark::DoNotOptimize(system.metrics().arrived);
   }
-  snap::set_warm_start_enabled(false);
   snap::warm_start_clear();
   state.SetLabel(warm ? "256 sites, cache hit" : "256 sites, cold build");
 }

@@ -40,20 +40,16 @@
 // core/trace_io, so experiments are archivable and replayable byte-for-byte.
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <sstream>
 
 #include "core/trace_io.hpp"
 #include "dag/analysis.hpp"
-#include "fault/invariants.hpp"
+#include "exp/cli.hpp"
 #include "fuzz/checks.hpp"
 #include "load/source.hpp"
 #include "net/generators.hpp"
 #include "net/io.hpp"
-#include "obs/profile.hpp"
-#include "obs/trace.hpp"
 #include "policy/policy.hpp"
-#include "snap/warm_start.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 
@@ -83,14 +79,8 @@ namespace {
 }
 
 void write_file_or_stdout(const std::string& path, const std::string& text) {
-  if (path.empty()) {
-    std::cout << text;
-    return;
-  }
-  std::ofstream out(path);
-  RTDS_REQUIRE_MSG(out.good(), "cannot open " << path);
-  out << text;
-  std::cout << "wrote " << path << "\n";
+  exp::write_output(path, text);
+  if (!path.empty()) std::cout << "wrote " << path << "\n";
 }
 
 std::string read_file(const std::string& path) {
@@ -230,17 +220,10 @@ int cmd_run(const Flags& flags) {
   }
   for (const auto& assignment : flags.get_all("set"))
     sets.push_back(assignment);
-  const std::string trace_file = flags.get_string("trace", "");
-  const std::string metrics_file = flags.get_string("metrics", "");
-  const bool profile = flags.get_bool("profile", false);
-  // §12 runtime invariant checker (non-fatal: violations count into the
-  // metrics row below and the obs layer).
-  if (flags.get_bool("check-invariants", false))
-    fault::set_check_invariants(true);
-  // Warm-start bring-up cache (DESIGN.md §14) — bit-identical output,
-  // pinned by tests/warm_start_test.cpp.
-  if (flags.get_bool("warm-start", false))
-    snap::set_warm_start_enabled(true);
+  const exp::ObsFlags obs_flags = exp::parse_obs_flags(flags);
+  // The non-fatal §12 checker (violations count into the metrics row
+  // below) and the warm-start bring-up cache (DESIGN.md §14).
+  const RunContext ctx = exp::run_context_from(flags, /*with_duration=*/false);
   flags.check_unused();
   const policy::ParamMap params = policy->parse_params(sets);
 
@@ -250,39 +233,20 @@ int cmd_run(const Flags& flags) {
   const auto arrivals =
       trace_from_string(read_file(trace_path), topo.site_count());
 
-  if (profile) {
-    obs::Profiler::set_enabled(true);
-    obs::Profiler::instance().reset();
-  }
   obs::MetricsBuffer obs_metrics;
-  std::vector<obs::TraceRecorder> traces(1);
+  obs::TraceRecorder trace;
   RunMetrics metrics;
   {
     // One run == one trial: bind the obs context for its duration only.
-    std::optional<obs::Scope> scope;
-    if (!trace_file.empty() || !metrics_file.empty())
-      scope.emplace(&obs_metrics,
-                    !trace_file.empty() ? &traces.front() : nullptr);
-    metrics = policy->run(topo, arrivals, params);
+    const auto scope = obs_flags.bind(obs_metrics, trace);
+    metrics = policy->run(topo, arrivals, params, ctx);
   }
-  if (!trace_file.empty()) {
-    std::ofstream file(trace_file);
-    RTDS_REQUIRE_MSG(file.good(), "cannot open " << trace_file);
-    if (trace_file.size() >= 6 &&
-        trace_file.compare(trace_file.size() - 6, 6, ".jsonl") == 0)
-      obs::TraceRecorder::write_jsonl(file, traces);
-    else
-      obs::TraceRecorder::write_chrome(file, traces);
-    std::cout << "wrote " << trace_file << " (" << traces.front().size()
+  exp::write_obs_outputs(obs_flags, {&trace, 1}, obs_metrics);
+  if (!obs_flags.trace_file.empty())
+    std::cout << "wrote " << obs_flags.trace_file << " (" << trace.size()
               << " events)\n";
-  }
-  if (!metrics_file.empty()) {
-    std::ofstream file(metrics_file);
-    RTDS_REQUIRE_MSG(file.good(), "cannot open " << metrics_file);
-    obs_metrics.write_jsonl(file);
-    std::cout << "wrote " << metrics_file << "\n";
-  }
-  if (profile) obs::Profiler::instance().report(std::cerr);
+  if (!obs_flags.metrics_file.empty())
+    std::cout << "wrote " << obs_flags.metrics_file << "\n";
 
   Table t({"metric", "value"});
   t.add_row({"scheduler", family});
@@ -363,7 +327,6 @@ int cmd_repro(const Flags& flags) {
   flags.check_unused();
   RTDS_REQUIRE_MSG(!path.empty(), "--repro needs a file path");
   const fuzz::FuzzScenario scenario = fuzz::from_repro(read_file(path));
-  const fuzz::FatalScope fatal;
   const fuzz::CheckResult r = fuzz::run_scenario_checks(scenario);
   // Benign repros (no expected tag) print their reference metrics as one
   // JSONL line — the byte-diffable replay-determinism contract the CI

@@ -57,17 +57,15 @@
 #include <sstream>
 
 #include "core/trace_io.hpp"
+#include "exp/cli.hpp"
 #include "exp/condition.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenarios.hpp"
 #include "exp/sinks.hpp"
-#include "fault/invariants.hpp"
 #include "load/engine.hpp"
 #include "load/load_params.hpp"
-#include "obs/profile.hpp"
 #include "policy/policy.hpp"
 #include "snap/io.hpp"
-#include "snap/warm_start.hpp"
 #include "util/error.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
@@ -137,50 +135,9 @@ void list_scenarios() {
   policies.print(std::cout);
 }
 
-/// --trace output: FILE ending in .jsonl gets the compact per-event
-/// stream; any other name gets Chrome trace-event JSON (Perfetto).
-void write_trace_file(const std::string& path,
-                      std::span<const obs::TraceRecorder> trials) {
-  std::ofstream file(path);
-  RTDS_REQUIRE_MSG(file.good(), "cannot open " << path);
-  if (path.size() >= 6 && path.compare(path.size() - 6, 6, ".jsonl") == 0)
-    obs::TraceRecorder::write_jsonl(file, trials);
-  else
-    obs::TraceRecorder::write_chrome(file, trials);
-}
-
-void write_metrics_file(const std::string& path,
-                        const obs::MetricsBuffer& metrics) {
-  std::ofstream file(path);
-  RTDS_REQUIRE_MSG(file.good(), "cannot open " << path);
-  metrics.write_jsonl(file);
-}
-
-/// Reads the shared observability flags and arms the profiler. Returns
-/// true when a RunObservation needs to be attached.
-struct ObsFlags {
-  std::string trace_file;
-  std::string metrics_file;
-  bool profile = false;
-  bool want_observation() const {
-    return !trace_file.empty() || !metrics_file.empty();
-  }
-};
-
-ObsFlags parse_obs_flags(const Flags& flags) {
-  ObsFlags o;
-  o.trace_file = flags.get_string("trace", "");
-  o.metrics_file = flags.get_string("metrics", "");
-  o.profile = flags.get_bool("profile", false);
-  if (o.profile) {
-    obs::Profiler::set_enabled(true);
-    obs::Profiler::instance().reset();
-  }
-  return o;
-}
-
 /// --policy mode: one registered policy, one generated condition.
-int run_policy_cmd(const std::string& name, const Flags& flags) {
+int run_policy_cmd(const std::string& name, const Flags& flags,
+                   const RunContext& ctx) {
   const auto policy = policy::PolicyRegistry::instance().create(name);
 
   if (flags.get_bool("describe", false)) {
@@ -212,7 +169,7 @@ int run_policy_cmd(const std::string& name, const Flags& flags) {
   const bool json = flags.get_bool("json", false);
   // Open-system mode: --duration (read once in main) switches from the
   // closed batch to a streamed run; --warmup/--window shape its windows.
-  const Time duration = load::scenario_duration(0.0);
+  const Time duration = ctx.duration;
   const Time warmup = flags.get_double("warmup", 100.0);
   const Time window_width = flags.get_double("window", 50.0);
   const std::string workload_trace = flags.get_string("workload-trace", "");
@@ -255,16 +212,12 @@ int run_policy_cmd(const std::string& name, const Flags& flags) {
   }
 
   obs::MetricsBuffer obs_metrics;
-  std::vector<obs::TraceRecorder> traces(1);
+  obs::TraceRecorder trace;
   RunMetrics m;
   std::optional<load::OpenRunResult> open_result;
   {
     // Single run, so bind the obs context directly (runner not involved).
-    std::optional<obs::Scope> scope;
-    if (obs_flags.want_observation())
-      scope.emplace(&obs_metrics, !obs_flags.trace_file.empty()
-                                      ? &traces.front()
-                                      : nullptr);
+    const auto scope = obs_flags.bind(obs_metrics, trace);
     if (duration > 0.0) {
       const auto source = load::make_arrival_source(aspec);
       if (name == "rtds") {
@@ -275,6 +228,7 @@ int run_policy_cmd(const std::string& name, const Flags& flags) {
         ocfg.checkpoint_path = checkpoint;
         ocfg.checkpoint_every = checkpoint_every;
         ocfg.resume = resume;
+        ocfg.context = ctx;
         try {
           open_result = load::run_open_rtds(topo, *source, ocfg, params);
         } catch (const ContractViolation& e) {
@@ -303,25 +257,15 @@ int run_policy_cmd(const std::string& name, const Flags& flags) {
         arrivals = load::generate_open_workload(aspec, cs.horizon);
       else
         arrivals = generate_workload(topo.site_count(), aspec.workload);
-      m = policy->run(topo, arrivals, params);
+      m = policy->run(topo, arrivals, params, ctx);
     }
   }
-  if (!obs_flags.trace_file.empty())
-    write_trace_file(obs_flags.trace_file, traces);
-  if (!obs_flags.metrics_file.empty())
-    write_metrics_file(obs_flags.metrics_file, obs_metrics);
-  if (obs_flags.profile) obs::Profiler::instance().report(std::cerr);
+  write_obs_outputs(obs_flags, {&trace, 1}, obs_metrics);
 
   if (json) {
     std::ostringstream text;
     m.to_jsonl(text);
-    if (out.empty()) {
-      std::cout << text.str();
-    } else {
-      std::ofstream file(out);
-      RTDS_REQUIRE_MSG(file.good(), "cannot open " << out);
-      file << text.str();
-    }
+    write_output(out, text.str());
     return 0;
   }
 
@@ -369,17 +313,12 @@ int run_policy_cmd(const std::string& name, const Flags& flags) {
 
   std::ostringstream text;
   t.print(text);
-  if (out.empty()) {
-    std::cout << text.str();
-  } else {
-    std::ofstream file(out);
-    RTDS_REQUIRE_MSG(file.good(), "cannot open " << out);
-    file << text.str();
-  }
+  write_output(out, text.str());
   return 0;
 }
 
-int run_sweep(const ScenarioSpec& base, const Flags& flags) {
+int run_sweep(const ScenarioSpec& base, const Flags& flags,
+              const RunContext& ctx) {
   ScenarioSpec spec = base;
   const std::string seeds = flags.get_string("seeds", "");
   if (seeds == "fixed") {
@@ -409,7 +348,7 @@ int run_sweep(const ScenarioSpec& base, const Flags& flags) {
   const bool verify = flags.get_bool("verify", false);
   const std::string sink_name = flags.get_string("sink", "table");
   const std::string out = flags.get_string("out", "");
-  opts.warm_start = snap::warm_start_enabled();  // --warm-start (main)
+  opts.context = ctx;
   opts.journal_path = flags.get_string("checkpoint", "");
   opts.resume = flags.get_bool("resume", false);
   if (opts.resume && opts.journal_path.empty()) {
@@ -439,11 +378,7 @@ int run_sweep(const ScenarioSpec& base, const Flags& flags) {
                  "seeds/observe; then checksummed \"trial\" sections)\n";
     return 2;
   }
-  if (!obs_flags.trace_file.empty())
-    write_trace_file(obs_flags.trace_file, observation.traces);
-  if (!obs_flags.metrics_file.empty())
-    write_metrics_file(obs_flags.metrics_file, observation.metrics);
-  if (obs_flags.profile) obs::Profiler::instance().report(std::cerr);
+  write_obs_outputs(obs_flags, observation.traces, observation.metrics);
 
   if (verify) {
     RunOptions serial = opts;
@@ -462,26 +397,17 @@ int run_sweep(const ScenarioSpec& base, const Flags& flags) {
   std::ostringstream text;
   if (sink_name == "table" && !spec.title.empty()) text << spec.title << "\n";
   sink->write(spec, rows, text);
-  if (out.empty()) {
-    std::cout << text.str();
-  } else {
-    std::ofstream file(out);
-    RTDS_REQUIRE_MSG(file.good(), "cannot open " << out);
-    file << text.str();
-  }
+  write_output(out, text.str());
   return 0;
 }
 
-int run_report_cmd(const std::string& name, const Flags& flags) {
+int run_report_cmd(const std::string& name, const Flags& flags,
+                   const RunContext& ctx) {
   const std::string out = flags.get_string("out", "");
   flags.check_unused();
-  if (out.empty()) {
-    run_report(name, std::cout);
-  } else {
-    std::ofstream file(out);
-    RTDS_REQUIRE_MSG(file.good(), "cannot open " << out);
-    run_report(name, file);
-  }
+  std::ostringstream text;
+  run_report(name, text, ctx);
+  write_output(out, text.str());
   return 0;
 }
 
@@ -492,22 +418,11 @@ int main(int argc, char** argv) {
     register_builtin_scenarios();
     Flags flags(argc, argv, {"set"});
 
-    // §12 runtime invariant checker, for any command that runs policies.
-    // Non-fatal here: violations count into the metrics and the obs layer
-    // (a test wanting hard failure sets fault::set_invariants_fatal).
-    if (flags.get_bool("check-invariants", false))
-      fault::set_check_invariants(true);
-
-    // Open-system run length, honoured by --policy mode and by
-    // duration-aware scenarios/reports (load::scenario_duration).
-    const Time duration = flags.get_double("duration", 0.0);
-    if (duration > 0.0) load::set_scenario_duration(duration);
-
-    // Warm-start cache (DESIGN.md §14): share one serialized bring-up per
-    // (topology, h) across every RtdsSystem this process constructs.
-    // Bit-identical to cold runs — pinned by tests/warm_start_test.cpp.
-    if (flags.get_bool("warm-start", false))
-      snap::set_warm_start_enabled(true);
+    // Every command's run settings: the non-fatal §12 checker, the
+    // warm-start cache (DESIGN.md §14, bit-identical to cold runs) and the
+    // open-run length, honoured by --policy mode and by duration-aware
+    // scenarios and reports.
+    const RunContext ctx = run_context_from(flags, /*with_duration=*/true);
 
     if (flags.get_bool("list", false)) {
       flags.check_unused();
@@ -518,25 +433,25 @@ int main(int argc, char** argv) {
     const std::string scenario = flags.get_string("scenario", "");
     const std::string report = flags.get_string("report", "");
     const std::string policy_name = flags.get_string("policy", "");
-    if (!policy_name.empty()) return run_policy_cmd(policy_name, flags);
+    if (!policy_name.empty()) return run_policy_cmd(policy_name, flags, ctx);
     if (!scenario.empty()) {
       const ScenarioSpec* spec = Registry::instance().find(scenario);
       if (spec == nullptr) {
         // Allow --scenario to name a report too, for discoverability.
         if (Registry::instance().find_report(scenario) != nullptr)
-          return run_report_cmd(scenario, flags);
+          return run_report_cmd(scenario, flags, ctx);
         std::cerr << "unknown scenario " << scenario
                   << " (try --list)\n";
         return 2;
       }
-      return run_sweep(*spec, flags);
+      return run_sweep(*spec, flags, ctx);
     }
     if (!report.empty()) {
       if (Registry::instance().find_report(report) == nullptr) {
         std::cerr << "unknown report " << report << " (try --list)\n";
         return 2;
       }
-      return run_report_cmd(report, flags);
+      return run_report_cmd(report, flags, ctx);
     }
     usage();
   } catch (const std::exception& e) {

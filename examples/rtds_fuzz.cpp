@@ -16,12 +16,10 @@
 // Scenario i is a pure function of (--seed, i), and findings are reported
 // in index order — a --runs-bounded campaign produces identical findings
 // whatever --jobs is (pinned by tests/fuzz_test.cpp).
-#include <fstream>
 #include <iostream>
 
+#include "exp/cli.hpp"
 #include "fuzz/fuzzer.hpp"
-#include "obs/obs.hpp"
-#include "util/flags.hpp"
 
 using namespace rtds;
 
@@ -52,11 +50,7 @@ int main(int argc, char** argv) {
       const obs::Scope scope(&metrics, nullptr);
       report = fuzz::run_fuzz(opts, std::cerr);
     }
-    if (!metrics_file.empty()) {
-      std::ofstream os(metrics_file);
-      RTDS_REQUIRE_MSG(os.good(), "cannot open " << metrics_file);
-      metrics.write_jsonl(os);
-    }
+    if (!metrics_file.empty()) exp::write_metrics_file(metrics_file, metrics);
 
     std::cout << "fuzz campaign seed=" << opts.seed << ": "
               << report.runs_done << " scenario(s), "

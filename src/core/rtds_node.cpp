@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "dag/analysis.hpp"
-#include "fault/bugs.hpp"
 #include "fault/invariants.hpp"
 #include "matching/bipartite.hpp"
 #include "obs/trace.hpp"
@@ -52,7 +51,7 @@ const char* msg_category_name(int category) {
 }
 
 RtdsNode::RtdsNode(SiteId site, Simulator& sim, Transport& transport, Pcs pcs,
-                   RtdsConfig cfg, NodeEnv& env)
+                   RtdsConfig cfg, NodeEnv& env, fault::InjectedBug bug)
     : site_(site),
       sim_(sim),
       transport_(transport),
@@ -60,6 +59,7 @@ RtdsNode::RtdsNode(SiteId site, Simulator& sim, Transport& transport, Pcs pcs,
       cfg_(cfg),
       env_(env),
       sched_(cfg.sched),
+      bug_(bug),
       // Per-site backoff-jitter stream, derived from the fault seed with a
       // golden-ratio odd multiplier so neighbouring sites decorrelate. Only
       // ever consumed on the retransmit path, so fault-free (and
@@ -635,7 +635,7 @@ void RtdsNode::crash() {
   buffered_enrolls_.clear();
   // Locks held *by* this site's initiations resolve via the members'
   // leases; a lock held *on* this site dies here.
-  if (fault::injected_bug() != fault::InjectedBug::kCrashKeepsLock)
+  if (bug_ != fault::InjectedBug::kCrashKeepsLock)
     lock_.reset();
   endorsement_.reset();
   ++lock_seq_;  // cancel any armed lease
@@ -698,8 +698,7 @@ void RtdsNode::on_message(SiteId from, const MessageBody& payload) {
       payload);
   if (seq != 0) {
     bool fresh = recv_window_[from].accept(seq);
-    if (fresh &&
-        fault::injected_bug() == fault::InjectedBug::kDedupFalsePositive &&
+    if (fresh && bug_ == fault::InjectedBug::kDedupFalsePositive &&
         seq % 8 == 0)
       fresh = false;  // injected boundary off-by-one (fault/bugs.hpp)
     if (!fresh) {

@@ -31,6 +31,7 @@
 #include "core/messages.hpp"
 #include "core/metrics.hpp"
 #include "core/protocol.hpp"
+#include "fault/bugs.hpp"
 #include "fault/dedup.hpp"
 #include "routing/pcs.hpp"
 #include "routing/transport.hpp"
@@ -176,8 +177,10 @@ class NodeEnv : public EventOwner {
 
 class RtdsNode {
  public:
+  /// `bug` selects a seeded mutant (fault/bugs.hpp, RunContext).
   RtdsNode(SiteId site, Simulator& sim, Transport& transport, Pcs pcs,
-           RtdsConfig cfg, NodeEnv& env);
+           RtdsConfig cfg, NodeEnv& env,
+           fault::InjectedBug bug = fault::InjectedBug::kNone);
 
   RtdsNode(const RtdsNode&) = delete;
   RtdsNode& operator=(const RtdsNode&) = delete;
@@ -373,6 +376,7 @@ class RtdsNode {
 
   // --- fault state (inert without a fault plan) ---
   bool alive_ = true;
+  const fault::InjectedBug bug_;  ///< seeded mutant; kNone in real runs
   /// Bumped on every crash; completion events capture it so reservations
   /// of a previous life never report completions.
   std::uint64_t epoch_ = 0;

@@ -42,10 +42,11 @@ RtdsSystem::RtdsSystem(Topology topo, SystemConfig cfg)
       sim_.post_at(f.at, *this, ev::Fault{f});
   }
 
-  // §12 runtime invariant checker: per-run flag OR the process-global one
+  // §12 runtime invariant checker: the config knob OR the run context
   // (the CLIs' --check-invariants). Pure observer — never changes bytes.
-  if (cfg_.check_invariants || fault::check_invariants_enabled()) {
-    checker_ = std::make_unique<fault::InvariantChecker>();
+  if (cfg_.check_invariants || cfg_.context.check_invariants) {
+    checker_ = std::make_unique<fault::InvariantChecker>(
+        cfg_.context.invariants_fatal);
     sim_.set_event_observer(
         [](void* ctx, Time now) {
           static_cast<fault::InvariantChecker*>(ctx)->on_event(now);
@@ -53,13 +54,13 @@ RtdsSystem::RtdsSystem(Topology topo, SystemConfig cfg)
         checker_.get());
   }
 
-  // §7: interrupted APSP, 2h phases. With warm-start enabled (snap/,
+  // §7: interrupted APSP, 2h phases. With warm start on (snap/,
   // DESIGN.md §14), identical (topology, h) bring-ups deserialize the
   // tables and spheres from a process-wide cache instead of recomputing —
   // the cache stores serialized bytes of a cold build, so a warm bring-up
   // is bit-identical by construction.
   std::vector<Pcs> warm_spheres;
-  if (snap::warm_start_enabled()) {
+  if (cfg_.context.warm_start) {
     if (!snap::warm_start_acquire(topo_, h, tables_, warm_spheres)) {
       {
         RTDS_OBS_PHASE("sys.apsp_build");
@@ -129,7 +130,7 @@ RtdsSystem::RtdsSystem(Topology topo, SystemConfig cfg)
         s, sim_, *transport_,
         s < warm_spheres.size() ? std::move(warm_spheres[s])
                                 : Pcs::build(tables, s, h),
-        node_cfg, *this));
+        node_cfg, *this, cfg_.context.injected_bug));
     if (checker_ == nullptr) {
       transport_->set_handler(s, [node = nodes_.back().get()](
                                      SiteId from, const MessageBody& payload) {
@@ -369,7 +370,8 @@ void RtdsSystem::repair_routing(std::span<const SiteId> changed) {
   RTDS_OBS_PHASE("sys.repair");
   const auto h = cfg_.node.sphere_radius_h;
   if (repairer_ == nullptr)
-    repairer_ = std::make_unique<ApspRepairer>(topo_, 2 * h);
+    repairer_ = std::make_unique<ApspRepairer>(topo_, 2 * h,
+                                               cfg_.context.injected_bug);
   repairer_->repair(tables_, fault_state_.get(), changed);
   if (checker_ != nullptr)
     checker_->on_repair(tables_, topo_, *fault_state_, sim_.now());

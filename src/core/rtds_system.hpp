@@ -13,6 +13,7 @@
 
 #include "core/metrics.hpp"
 #include "core/rtds_node.hpp"
+#include "core/run_context.hpp"
 #include "core/workload.hpp"
 #include "fault/fault.hpp"
 #include "fault/invariants.hpp"
@@ -44,10 +45,13 @@ struct SystemConfig {
   fault::FaultPlan faults;
   /// Runs the §12 runtime invariant checker alongside the simulation
   /// (lock conservation, at-most-one guarantee, job conservation, monotone
-  /// time, no delivery to a down site). Also enabled by the process-global
-  /// fault::set_check_invariants (the CLIs' --check-invariants). The
-  /// checker only *observes* — enabling it never changes simulation bytes.
+  /// time, no delivery to a down site). Also enabled by
+  /// context.check_invariants (the CLIs' --check-invariants). The checker
+  /// only *observes* — enabling it never changes simulation bytes.
   bool check_invariants = false;
+  /// This run's settings (checker mode, seeded mutant, warm start). Not a
+  /// scheduler knob: no ParamMap key, not in the snapshot config hash.
+  RunContext context;
 
   // --- open-system (src/load/) hooks; all inert by default ---
   /// Streaming observer: every JobDecision as it is recorded (with
@@ -159,8 +163,8 @@ class RtdsSystem : public NodeEnv {
   /// first topology-change event — faultless runs never pay for it.
   std::unique_ptr<ApspRepairer> repairer_;
   std::unique_ptr<fault::FaultState> fault_state_;
-  /// §12 runtime invariant checker; null unless enabled (config or the
-  /// process-global flag), so disabled runs pay one null test per event.
+  /// §12 runtime invariant checker; null unless enabled (config or
+  /// context), so disabled runs pay one null test per event.
   std::unique_ptr<fault::InvariantChecker> checker_;
   std::unique_ptr<Transport> transport_;
   std::vector<std::unique_ptr<RtdsNode>> nodes_;

@@ -21,7 +21,7 @@ namespace {
 
 // --------------------------------------------------- Figure 1: trace ----
 
-void fig1_protocol(std::ostream& os) {
+void fig1_protocol(std::ostream& os, const RunContext& ctx) {
   // The sink captures `os` by reference; restore on every exit path so a
   // throwing run can't leave a dangling-stream sink installed globally.
   struct LogGuard {
@@ -39,6 +39,7 @@ void fig1_protocol(std::ostream& os) {
   Topology topo = make_grid(3, 3, DelayRange{0.5, 1.0}, rng);
   SystemConfig cfg;
   cfg.node.sphere_radius_h = 2;
+  cfg.context = ctx;
   RtdsSystem system(std::move(topo), cfg);
 
   os << "=== Figure 1: RTDS phase flow (traced run) ===\n";
@@ -105,7 +106,7 @@ void print_schedule(std::ostream& os, const char* title, const Dag& dag,
   os << "\n" << render_gantt(rows, 0.0, horizon) << "\n";
 }
 
-void fig2_table1(std::ostream& os) {
+void fig2_table1(std::ostream& os, const RunContext&) {
   const Dag dag = paper_example();
 
   os << "=== Figure 2: task graph instance ===\n";
@@ -156,7 +157,7 @@ void fig2_table1(std::ostream& os) {
 
 // -------------------------------------- E4a: mapper case boundaries ----
 
-void e4a_case_boundaries(std::ostream& os) {
+void e4a_case_boundaries(std::ostream& os, const RunContext&) {
   const Dag dag = paper_example();
   Table t({"d - r", "case", "accepted windows"});
   for (double window : {15.0, 19.0, 22.0, 28.0, 32.999, 33.0, 40.0, 66.0}) {

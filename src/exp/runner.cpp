@@ -10,37 +10,19 @@
 
 #include "snap/io.hpp"
 #include "snap/journal.hpp"
-#include "snap/warm_start.hpp"
 #include "util/error.hpp"
 
 namespace rtds::exp {
 
 namespace {
 
-/// Scoped enable for the process-global warm-start cache: restores the
-/// previous state on exit so a --verify re-run (or a nested scenario)
-/// sees exactly the mode its caller chose.
-class WarmStartScope {
- public:
-  explicit WarmStartScope(bool enable)
-      : previous_(snap::warm_start_enabled()) {
-    if (enable) snap::set_warm_start_enabled(true);
-  }
-  ~WarmStartScope() { snap::set_warm_start_enabled(previous_); }
-  WarmStartScope(const WarmStartScope&) = delete;
-  WarmStartScope& operator=(const WarmStartScope&) = delete;
-
- private:
-  bool previous_;
-};
-
 /// Runs trials [0, trials) of `spec`, storing each result in its slot.
 /// With `observe` set, each trial additionally writes into its own
 /// metrics/trace slot — same pre-sized-slot-array scheme as the results,
 /// so observability output inherits the worker-count invariance.
-void run_trials(const ScenarioSpec& spec, std::size_t replicates,
-                std::size_t jobs, std::vector<TrialResult>& slots,
-                RunObservation* observe,
+void run_trials(const ScenarioSpec& spec, const RunContext& ctx,
+                std::size_t replicates, std::size_t jobs,
+                std::vector<TrialResult>& slots, RunObservation* observe,
                 std::vector<obs::MetricsBuffer>& metric_slots,
                 const std::vector<std::uint8_t>& prefilled,
                 snap::SweepJournal* journal) {
@@ -54,7 +36,7 @@ void run_trials(const ScenarioSpec& spec, std::size_t replicates,
       scope.emplace(&metric_slots[t],
                     observe->record_traces ? &observe->traces[t] : nullptr);
     TrialResult result = spec.trial(spec.grid_point(grid_index),
-                                    spec.seed_for(grid_index, replicate));
+                                    spec.seed_for(grid_index, replicate), ctx);
     RTDS_CHECK_MSG(result.size() == spec.metrics.size(),
                    "scenario " << spec.name << " trial returned "
                                << result.size() << " metrics, declared "
@@ -110,7 +92,6 @@ std::vector<AggregateRow> run_scenario(const ScenarioSpec& spec,
   const std::size_t jobs = std::min(std::max<std::size_t>(opts.jobs, 1),
                                     std::max<std::size_t>(trials, 1));
 
-  const WarmStartScope warm(opts.warm_start);
   std::vector<TrialResult> slots(trials);
   std::vector<obs::MetricsBuffer> metric_slots;
   if (opts.observe != nullptr) {
@@ -132,6 +113,9 @@ std::vector<AggregateRow> run_scenario(const ScenarioSpec& spec,
     h.u64(static_cast<std::uint64_t>(spec.seed_mode));
     h.u64(spec.fixed_seed);
     h.u64(opts.observe != nullptr ? 1 : 0);
+    // Only an override enters the hash, so journals of runs without one
+    // keep the bytes they always had.
+    if (opts.context.duration > 0.0) h.f64(opts.context.duration);
     const std::uint64_t sweep_hash = h.digest();
     if (opts.resume) {
       std::vector<snap::JournalEntry> entries;
@@ -155,8 +139,8 @@ std::vector<AggregateRow> run_scenario(const ScenarioSpec& spec,
     }
   }
 
-  run_trials(spec, replicates, jobs, slots, opts.observe, metric_slots,
-             prefilled, journal.get());
+  run_trials(spec, opts.context, replicates, jobs, slots, opts.observe,
+             metric_slots, prefilled, journal.get());
   if (opts.observe != nullptr)
     // Trial-index merge order: commutativity makes it unnecessary for
     // correctness, but a fixed order keeps even pathological future cell

@@ -56,18 +56,19 @@ struct RunOptions {
   /// Borrowed observability capture, or nullptr (the default: trials run
   /// with no obs binding, so instrumentation costs one TLS load each).
   RunObservation* observe = nullptr;
-  /// Share one serialized bring-up (routing tables + spheres) across every
-  /// trial on the same (topology, h) via snap::warm_start (DESIGN.md §14).
-  /// Bit-identical to cold trials — pinned by tests/warm_start_test.cpp.
-  bool warm_start = false;
+  /// Handed to every trial: checker mode, warm start (one serialized
+  /// bring-up per (topology, h), DESIGN.md §14, bit-identical to cold
+  /// trials) and the duration override, which the journal's
+  /// sweep-identity hash absorbs when set.
+  RunContext context{};
   /// Crash recovery: append every completed trial (values + obs metrics
   /// when observing) to this snap::SweepJournal file. Empty = off.
   std::string journal_path;
   /// With journal_path set: load the journal's completed trials instead of
   /// re-running them, then continue the sweep. The journal must belong to
   /// this exact sweep (scenario, grid, replicates, seed policy, observe
-  /// mode — pinned by its header hash); a missing or foreign journal
-  /// throws ContractViolation.
+  /// mode, duration override — pinned by its header hash); a missing or
+  /// foreign journal throws ContractViolation.
   bool resume = false;
 };
 

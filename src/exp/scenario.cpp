@@ -117,10 +117,11 @@ std::vector<std::string> Registry::report_names() const {
   return names;
 }
 
-void run_report(const std::string& name, std::ostream& os) {
+void run_report(const std::string& name, std::ostream& os,
+                const RunContext& ctx) {
   const ReportFn* fn = Registry::instance().find_report(name);
   RTDS_REQUIRE_MSG(fn != nullptr, "unknown report scenario " << name);
-  (*fn)(os);
+  (*fn)(os, ctx);
 }
 
 }  // namespace rtds::exp

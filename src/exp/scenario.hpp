@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "core/run_context.hpp"
+
 namespace rtds::exp {
 
 /// One coordinate on an axis: the numeric value handed to the trial
@@ -71,10 +73,12 @@ struct MetricSpec {
 /// the aggregator drops NaNs so the cell's count stays honest.
 using TrialResult = std::vector<double>;
 
-/// One trial: (grid point, seed) -> metric values. Must be *pure* — no
-/// shared mutable state, all randomness from the given seed — which is
+/// One trial: (grid point, seed, run context) -> metric values. Must be
+/// *pure* — no shared mutable state, all randomness from the given seed,
+/// every run setting from the context (RunOptions::context) — which is
 /// what makes the parallel runner bit-deterministic (DESIGN.md §6).
-using TrialFn = std::function<TrialResult(const GridPoint&, std::uint64_t)>;
+using TrialFn = std::function<TrialResult(const GridPoint&, std::uint64_t,
+                                          const RunContext&)>;
 
 /// How per-trial seeds are chosen (rtds_exp --seeds overrides at run time).
 enum class SeedMode {
@@ -96,7 +100,7 @@ struct ScenarioSpec {
   std::uint64_t fixed_seed = 42;   ///< the kFixed shared seed
   TrialFn trial;                   ///< the pure per-trial function
   /// Trials construct RtdsSystems, so the snap warm-start cache
-  /// (RunOptions::warm_start, rtds_exp --warm-start) can reuse one
+  /// (RunContext::warm_start, rtds_exp --warm-start) can reuse one
   /// serialized bring-up per (topology, h). True for every built-in sweep
   /// (they all run the rtds policy at least once per trial); a future
   /// baseline-only scenario should clear it so --list stays honest.
@@ -113,8 +117,9 @@ struct ScenarioSpec {
   std::uint64_t seed_for(std::size_t grid_index, std::size_t replicate) const;
 };
 
-/// A non-sweep scenario: prints its deterministic artifact to the stream.
-using ReportFn = std::function<void(std::ostream&)>;
+/// A non-sweep scenario: prints its deterministic artifact to the stream,
+/// honouring the run context (checker, warm start, --duration).
+using ReportFn = std::function<void(std::ostream&, const RunContext&)>;
 
 /// Process-wide scenario registry. Built-ins are installed by
 /// register_builtin_scenarios() (scenarios.hpp); anything may add more.
@@ -151,6 +156,7 @@ class Registry {
 
 /// Runs a registered report scenario, printing its artifact to `os`.
 /// Throws ContractViolation for unknown names.
-void run_report(const std::string& name, std::ostream& os);
+void run_report(const std::string& name, std::ostream& os,
+                const RunContext& ctx = {});
 
 }  // namespace rtds::exp

@@ -44,13 +44,14 @@ struct PolicySpec {
 /// appended (later assignments win, so grid-point values can refine a
 /// variant's fixed params).
 RunMetrics run_policy(
-    const PolicySpec& ps, const Condition& c,
+    const PolicySpec& ps, const Condition& c, const RunContext& ctx,
     const std::vector<std::pair<std::string, std::string>>& extra = {}) {
   const auto policy = PolicyRegistry::instance().create(ps.policy);
   auto pairs = ps.params;
   pairs.insert(pairs.end(), extra.begin(), extra.end());
   return policy->run(c.topo, c.arrivals,
-                     ParamMap::parse_pairs(pairs, policy->describe_params()));
+                     ParamMap::parse_pairs(pairs, policy->describe_params()),
+                     ctx);
 }
 
 MetricSpec ratio(std::string header, std::string key) {
@@ -81,7 +82,8 @@ void register_e1() {
                   MetricSpec{"BCAST msgs/job", "bcast_msgs_per_job", 1},
                   count("PCS size max", "pcs_size_max")};
   spec.seed_mode = SeedMode::kFixed;
-  spec.trial = [](const GridPoint& p, std::uint64_t seed) -> TrialResult {
+  spec.trial = [](const GridPoint& p, std::uint64_t seed,
+                  const RunContext& ctx) -> TrialResult {
     ConditionSpec cs;
     cs.net = NetShape::kGrid;
     cs.sites = static_cast<std::size_t>(p.value(0));
@@ -94,7 +96,7 @@ void register_e1() {
     cs.seed = seed;
     const Condition c = make_condition(cs);
 
-    const RunMetrics m = run_policy(kRtdsH2, c);
+    const RunMetrics m = run_policy(kRtdsH2, c, ctx);
     // Analytic per-job bound: 4 sphere-wide rounds (enroll, reply,
     // validate+reply, dispatch) of |PCS|-1 sends, each <= hop-diameter
     // hops, plus unlock slack -> 8 covers every code path.
@@ -106,7 +108,7 @@ void register_e1() {
     // makes large runs expensive — which is the point.
     double bcast_msgs = kSkip;
     if (c.topo.site_count() <= 256) {
-      const RunMetrics bm = run_policy(PolicySpec{"bcast", {}}, c);
+      const RunMetrics bm = run_policy(PolicySpec{"bcast", {}}, c, ctx);
       bcast_msgs = static_cast<double>(bm.transport.total_link_messages) /
                    static_cast<double>(bm.arrived);
     }
@@ -147,8 +149,8 @@ void register_e2(const std::string& name, std::string title,
   for (const auto& [header, ps] : families)
     spec.metrics.push_back(ratio(header, ps.policy));
   spec.seed_mode = SeedMode::kFixed;
-  spec.trial = [base, families](const GridPoint& p,
-                                std::uint64_t seed) -> TrialResult {
+  spec.trial = [base, families](const GridPoint& p, std::uint64_t seed,
+                                const RunContext& ctx) -> TrialResult {
     ConditionSpec cs = base;
     cs.rate = p.value(0);
     cs.seed = seed;
@@ -156,7 +158,7 @@ void register_e2(const std::string& name, std::string title,
 
     TrialResult result{kSkip};  // jobs filled from the first family's run
     for (const auto& [header, ps] : families) {
-      const RunMetrics m = run_policy(ps, c);
+      const RunMetrics m = run_policy(ps, c, ctx);
       if (std::isnan(result[0])) result[0] = static_cast<double>(m.arrived);
       result.push_back(m.guarantee_ratio());
     }
@@ -201,13 +203,14 @@ void register_e3(const std::string& name, std::string title,
                   MetricSpec{"latency", "decision_latency", 2},
                   count("PCS max", "pcs_size_max")};
   spec.seed_mode = SeedMode::kFixed;
-  spec.trial = [base](const GridPoint& p, std::uint64_t seed) -> TrialResult {
+  spec.trial = [base](const GridPoint& p, std::uint64_t seed,
+                      const RunContext& ctx) -> TrialResult {
     ConditionSpec cs = base;
     cs.seed = seed;
     const Condition c = make_condition(cs);
     // The grid point overrides the sweep axis on an otherwise-default rtds.
     const RunMetrics m = run_policy(
-        PolicySpec{"rtds", {}}, c,
+        PolicySpec{"rtds", {}}, c, ctx,
         {{"h", Table::num(static_cast<std::size_t>(p.value(0)))}});
     return {m.guarantee_ratio(),
             static_cast<double>(m.accepted_remote),
@@ -262,8 +265,8 @@ void register_e4() {
                   count("match_fail", "reject_matching"),
                   count("gated", "reject_gated")};
   spec.seed_mode = SeedMode::kFixed;
-  spec.trial = [bands](const GridPoint& p,
-                       std::uint64_t seed) -> TrialResult {
+  spec.trial = [bands](const GridPoint& p, std::uint64_t seed,
+                       const RunContext& ctx) -> TrialResult {
     const Band band = bands[static_cast<std::size_t>(p.value(0))];
     ConditionSpec cs;
     cs.net = NetShape::kGrid;
@@ -276,7 +279,7 @@ void register_e4() {
     cs.delay_max = 0.4;
     cs.seed = seed;
     const Condition c = make_condition(cs);
-    const RunMetrics m = run_policy(PolicySpec{"rtds", {}}, c);
+    const RunMetrics m = run_policy(PolicySpec{"rtds", {}}, c, ctx);
     auto rejects = [&](RejectReason r) {
       const auto it = m.reject_by_reason.find(static_cast<int>(r));
       return it == m.reject_by_reason.end() ? 0.0
@@ -345,13 +348,13 @@ void register_e5_group(const std::string& name, std::string title,
                   MetricSpec{"msgs/job", "msgs_per_job", 1},
                   MetricSpec{"latency", "decision_latency", 2}};
   spec.seed_mode = SeedMode::kFixed;
-  spec.trial = [condition, variants](const GridPoint& p,
-                                     std::uint64_t seed) -> TrialResult {
+  spec.trial = [condition, variants](const GridPoint& p, std::uint64_t seed,
+                                     const RunContext& ctx) -> TrialResult {
     ConditionSpec cs = condition;
     cs.seed = seed;
     const Condition c = make_condition(cs);
     const RunMetrics m =
-        run_policy(variants[static_cast<std::size_t>(p.value(0))].spec, c);
+        run_policy(variants[static_cast<std::size_t>(p.value(0))].spec, c, ctx);
     return {m.guarantee_ratio(),
             static_cast<double>(m.accepted_local),
             static_cast<double>(m.accepted_remote),
@@ -452,13 +455,13 @@ void register_e5() {
                     MetricSpec{"latency", "decision_latency", 2}};
     spec.seed_mode = SeedMode::kFixed;
     const ConditionSpec condition = e5_parallel_spec();
-    spec.trial = [condition, variants](const GridPoint& p,
-                                       std::uint64_t seed) -> TrialResult {
+    spec.trial = [condition, variants](const GridPoint& p, std::uint64_t seed,
+                                       const RunContext& ctx) -> TrialResult {
       ConditionSpec cs = condition;
       cs.seed = seed;
       const Condition c = make_condition(cs);
-      const RunMetrics m =
-          run_policy(variants[static_cast<std::size_t>(p.value(0))].spec, c);
+      const RunMetrics m = run_policy(
+          variants[static_cast<std::size_t>(p.value(0))].spec, c, ctx);
       return {m.delivered_ratio(), static_cast<double>(m.accepted_remote),
               static_cast<double>(m.failed_jobs), m.decision_latency.mean()};
     };
@@ -503,8 +506,8 @@ void register_e6() {
   spec.metrics.push_back(count("resched", "rtds_jobs_rescheduled"));
   spec.metrics.push_back(count("repair", "rtds_repair_messages"));
   spec.seed_mode = SeedMode::kFixed;
-  spec.trial = [families](const GridPoint& p,
-                          std::uint64_t seed) -> TrialResult {
+  spec.trial = [families](const GridPoint& p, std::uint64_t seed,
+                          const RunContext& ctx) -> TrialResult {
     ConditionSpec cs = offload_regime();
     cs.net = NetShape::kGrid;
     cs.sites = 64;
@@ -523,7 +526,7 @@ void register_e6() {
     TrialResult result{kSkip};  // jobs filled from the first family's run
     double lost = 0.0, resched = 0.0, repair = 0.0;
     for (const auto& [header, ps] : families) {
-      const RunMetrics m = run_policy(ps, c, extra);
+      const RunMetrics m = run_policy(ps, c, ctx, extra);
       if (std::isnan(result[0])) result[0] = static_cast<double>(m.arrived);
       result.push_back(m.delivered_ratio());
       if (ps.policy == "rtds") {
@@ -566,7 +569,8 @@ void register_e7() {
                   count("PCS max", "pcs_size_max"),
                   MetricSpec{"latency", "rtds_decision_latency", 2}};
   spec.seed_mode = SeedMode::kFixed;
-  spec.trial = [](const GridPoint& p, std::uint64_t seed) -> TrialResult {
+  spec.trial = [](const GridPoint& p, std::uint64_t seed,
+                  const RunContext& ctx) -> TrialResult {
     ConditionSpec cs;
     cs.net = NetShape::kGrid;
     cs.sites = static_cast<std::size_t>(p.value(0));
@@ -579,14 +583,14 @@ void register_e7() {
     cs.seed = seed;
     const Condition c = make_condition(cs);
 
-    const RunMetrics m = run_policy(kRtdsH2, c);
-    const RunMetrics lm = run_policy(PolicySpec{"local", {}}, c);
+    const RunMetrics m = run_policy(kRtdsH2, c, ctx);
+    const RunMetrics lm = run_policy(PolicySpec{"local", {}}, c, ctx);
     // The periodic network-wide surplus flood is what makes bcast
     // unaffordable at scale — which is the point; measured to 256 sites
     // (the E1 cap), skipped beyond.
     double bcast = kSkip;
     if (c.topo.site_count() <= 256)
-      bcast = run_policy(PolicySpec{"bcast", {}}, c).guarantee_ratio();
+      bcast = run_policy(PolicySpec{"bcast", {}}, c, ctx).guarantee_ratio();
 
     return {static_cast<double>(m.arrived),
             m.guarantee_ratio(),
@@ -632,8 +636,8 @@ void register_e8() {
   spec.metrics.push_back(count("retrans", "rtds_retransmits"));
   spec.metrics.push_back(count("viol", "rtds_invariant_violations"));
   spec.seed_mode = SeedMode::kFixed;
-  spec.trial = [families](const GridPoint& p,
-                          std::uint64_t seed) -> TrialResult {
+  spec.trial = [families](const GridPoint& p, std::uint64_t seed,
+                          const RunContext& ctx) -> TrialResult {
     ConditionSpec cs = offload_regime();
     cs.net = NetShape::kGrid;
     cs.sites = 36;
@@ -669,7 +673,7 @@ void register_e8() {
     double dups = 0.0, retrans = 0.0, viol = 0.0;
     for (const auto& [header, ps] : families) {
       const RunMetrics m =
-          run_policy(ps, c, ps.policy == "rtds" ? rtds_extra : crash);
+          run_policy(ps, c, ctx, ps.policy == "rtds" ? rtds_extra : crash);
       if (std::isnan(result[0])) result[0] = static_cast<double>(m.arrived);
       result.push_back(m.delivered_ratio());
       if (ps.policy == "rtds") {
@@ -710,8 +714,8 @@ void register_policy_sweep() {
                   count("remote", "accepted_remote"),
                   MetricSpec{"msgs/job", "msgs_per_job", 1},
                   MetricSpec{"latency", "decision_latency", 2}};
-  spec.trial = [policies](const GridPoint& p,
-                          std::uint64_t seed) -> TrialResult {
+  spec.trial = [policies](const GridPoint& p, std::uint64_t seed,
+                          const RunContext& ctx) -> TrialResult {
     ConditionSpec cs = offload_regime();
     cs.net = NetShape::kGrid;
     cs.sites = 64;
@@ -720,7 +724,7 @@ void register_policy_sweep() {
     cs.seed = seed;
     const Condition c = make_condition(cs);
     const RunMetrics m = run_policy(
-        PolicySpec{policies[static_cast<std::size_t>(p.value(0))], {}}, c);
+        PolicySpec{policies[static_cast<std::size_t>(p.value(0))], {}}, c, ctx);
     return {static_cast<double>(m.arrived),
             m.guarantee_ratio(),
             static_cast<double>(m.accepted_remote),

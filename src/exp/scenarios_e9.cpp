@@ -7,10 +7,10 @@
 // saturation knee (first window where p99 sojourn diverges). Registered
 // from register_builtin_scenarios() like every built-in.
 //
-// The run length honours load::scenario_duration(), so
+// The run length honours RunContext::duration, so
 // `rtds_exp --scenario=e9_steady_state --duration=T` bounds wall clock
 // without changing the schema (the parallel sweep and the --verify serial
-// re-run read the same override).
+// re-run get the same context, and a sweep journal records it).
 #include <ostream>
 
 #include "exp/scenario.hpp"
@@ -58,7 +58,7 @@ load::ArrivalSpec e9_arrivals(load::ArrivalKind kind, double rate,
 /// shed policy, streamed for `duration`.
 load::OpenRunResult e9_run(load::ArrivalKind kind, double rate,
                            const std::string& shed, std::uint64_t seed,
-                           Time duration) {
+                           Time duration, const RunContext& ctx) {
   const Topology topo = e9_topology(seed);
   const load::ArrivalSpec spec = e9_arrivals(kind, rate, seed);
   const auto source = load::make_arrival_source(spec);
@@ -72,6 +72,7 @@ load::OpenRunResult e9_run(load::ArrivalKind kind, double rate,
   ocfg.duration = duration;
   ocfg.window.warmup = 100.0;
   ocfg.window.width = 50.0;
+  ocfg.context = ctx;
   return load::run_open_rtds(topo, *source, ocfg, params);
 }
 
@@ -103,12 +104,13 @@ void register_e9_sweep() {
       MetricSpec{"knee win", "knee_window", 0},  // -1 = never diverged
   };
   spec.seed_mode = SeedMode::kFixed;
-  spec.trial = [](const GridPoint& p, std::uint64_t seed) -> TrialResult {
+  spec.trial = [](const GridPoint& p, std::uint64_t seed,
+                  const RunContext& ctx) -> TrialResult {
     const auto kind = static_cast<load::ArrivalKind>(
         static_cast<std::size_t>(p.value(0)));
     const auto& shed = shed_policies()[static_cast<std::size_t>(p.value(2))];
-    const load::OpenRunResult r = e9_run(
-        kind, p.value(1), shed, seed, load::scenario_duration(600.0));
+    const load::OpenRunResult r = e9_run(kind, p.value(1), shed, seed,
+                                         ctx.duration_or(600.0), ctx);
     return {static_cast<double>(r.metrics.arrived),
             r.metrics.guarantee_ratio(),
             shed_count(r.metrics),
@@ -129,9 +131,9 @@ void register_e9_saturation() {
       "saturation sweep: offered load walked upward per shed policy; "
       "per-cell steady-state table plus each policy's knee (honours "
       "--duration)",
-      [](std::ostream& os) {
+      [](std::ostream& os, const RunContext& ctx) {
         const std::vector<double> rates = {0.02, 0.04, 0.08, 0.12, 0.16};
-        const Time duration = load::scenario_duration(400.0);
+        const Time duration = ctx.duration_or(400.0);
         constexpr std::uint64_t kSeed = 42;
 
         os << "E9a saturation sweep (rtds h=2, shed.cap=4, poisson, 6x6 "
@@ -148,8 +150,9 @@ void register_e9_saturation() {
         for (std::size_t s = 0; s < shed_policies().size(); ++s) {
           const auto& shed = shed_policies()[s];
           for (const double rate : rates) {
-            const load::OpenRunResult r = e9_run(
-                load::ArrivalKind::kPoisson, rate, shed, kSeed, duration);
+            const load::OpenRunResult r =
+                e9_run(load::ArrivalKind::kPoisson, rate, shed, kSeed,
+                       duration, ctx);
             table.add_row({shed, Table::num(rate, 3),
                            Table::num(r.metrics.arrived),
                            Table::num(100.0 * r.metrics.guarantee_ratio(), 1),

@@ -1,9 +1,10 @@
 // Deliberately injected bugs for mutation-testing the fuzzer (DESIGN.md
 // §15). Each enumerator re-introduces one specific, historically plausible
-// defect behind a process-global switch; tests/fuzz_test.cpp flips a bug on
-// and asserts rtds_fuzz finds and shrinks it within a pinned seed budget.
-// kNone (the default) must keep every code path bit-identical to the
-// unhooked build — the golden determinism digests pin that.
+// defect; a run selects one through RunContext::injected_bug, and
+// tests/fuzz_test.cpp asserts rtds_fuzz finds and shrinks each within a
+// pinned seed budget. kNone (the default) must keep every code path
+// bit-identical to the unhooked build — the golden determinism digests
+// pin that.
 #pragma once
 
 namespace rtds::fault {
@@ -21,23 +22,6 @@ enum class InjectedBug {
   /// crash() forgets to drop the local PCS lock: the dead site still
   /// "holds" it when the run drains (lock-conservation).
   kCrashKeepsLock,
-};
-
-void set_injected_bug(InjectedBug bug);
-InjectedBug injected_bug();
-
-/// RAII guard for tests: installs a bug, restores the previous one.
-class InjectedBugScope {
- public:
-  explicit InjectedBugScope(InjectedBug bug) : prev_(injected_bug()) {
-    set_injected_bug(bug);
-  }
-  ~InjectedBugScope() { set_injected_bug(prev_); }
-  InjectedBugScope(const InjectedBugScope&) = delete;
-  InjectedBugScope& operator=(const InjectedBugScope&) = delete;
-
- private:
-  InjectedBug prev_;
 };
 
 }  // namespace rtds::fault

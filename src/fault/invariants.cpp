@@ -14,22 +14,12 @@
 
 namespace rtds::fault {
 
-namespace {
-bool g_check_enabled = false;
-bool g_fatal = false;
-}  // namespace
-
-void set_check_invariants(bool on) { g_check_enabled = on; }
-bool check_invariants_enabled() { return g_check_enabled; }
-void set_invariants_fatal(bool on) { g_fatal = on; }
-bool invariants_fatal() { return g_fatal; }
-
 void InvariantChecker::violate(const std::string& what, Time now, SiteId site) {
   ++violations_;
   RTDS_COUNT("invariant.violations");
   if (auto* tr = obs::tracer())
     tr->instant("invariant", "violation", now, site);
-  if (g_fatal)
+  if (fatal_)
     throw ContractViolation("invariant violated: " + what);
 }
 

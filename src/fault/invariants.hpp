@@ -53,19 +53,17 @@ struct Access;  // checkpoint serialization (snap/)
 
 namespace rtds::fault {
 
-/// Process-wide enable switch (`--check-invariants` in both CLIs; tests set
-/// it directly). Per-run SystemConfig::check_invariants OR-s with this, so
-/// a scenario can force checking on regardless of the CLI flag.
-void set_check_invariants(bool on);
-bool check_invariants_enabled();
-
-/// When fatal, the first violation throws ContractViolation instead of
-/// only counting — the test-suite mode.
-void set_invariants_fatal(bool on);
-bool invariants_fatal();
-
 class InvariantChecker {
  public:
+  /// `fatal`: the first violation throws ContractViolation instead of
+  /// only counting (RunContext::invariants_fatal, the tests' mode).
+  explicit InvariantChecker(bool fatal = false) : fatal_(fatal) {}
+  /// A copy of `other`'s audit state with its own fatality.
+  InvariantChecker(const InvariantChecker& other, bool fatal)
+      : InvariantChecker(other) {
+    fatal_ = fatal;
+  }
+
   /// Post-event simulator hook: the clock must never run backwards.
   void on_event(Time now);
   /// Transport-delivery hook: `up` is the receiving node's liveness at the
@@ -112,6 +110,7 @@ class InvariantChecker {
   void recheck_dependents(const std::vector<RoutingTable>& tables,
                           const Topology& topo, SiteId s, SiteId dest);
 
+  bool fatal_;
   Time last_event_time_ = 0.0;
   std::uint64_t submitted_ = 0;
   std::uint64_t violations_ = 0;

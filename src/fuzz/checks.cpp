@@ -8,7 +8,6 @@
 #include "core/rtds_system.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
-#include "fault/invariants.hpp"
 #include "load/source.hpp"
 #include "policy/policy.hpp"
 #include "policy/rtds_params.hpp"
@@ -26,13 +25,16 @@ std::string metrics_line(const RunMetrics& m) {
   return os.str();
 }
 
-SystemConfig rtds_cfg_for(const FuzzScenario& s, const Topology& topo) {
+SystemConfig rtds_cfg_for(const FuzzScenario& s, const Topology& topo,
+                          fault::InjectedBug bug) {
   policy::register_builtin_policies();
   const auto pol = policy::PolicyRegistry::instance().create("rtds");
   SystemConfig cfg = policy::rtds_system_config_from(pol->parse_params(s.params));
   s.plan.validate(topo);
   cfg.faults = s.plan;
   cfg.check_invariants = true;
+  cfg.context.invariants_fatal = true;
+  cfg.context.injected_bug = bug;
   return cfg;
 }
 
@@ -57,8 +59,9 @@ std::function<std::optional<JobArrival>()> open_stream(const FuzzScenario& s,
 /// routing / fault-state post-mortems and the snapshot cut).
 std::unique_ptr<RtdsSystem> run_rtds(const FuzzScenario& s,
                                      const Topology& topo,
+                                     const SystemConfig& cfg,
                                      const std::vector<JobArrival>& arrivals) {
-  auto sys = std::make_unique<RtdsSystem>(topo, rtds_cfg_for(s, topo));
+  auto sys = std::make_unique<RtdsSystem>(topo, cfg);
   if (s.workload == WorkloadMode::kOpenDiurnal)
     sys->run_stream(open_stream(s, topo));
   else
@@ -110,7 +113,7 @@ CheckResult fail(std::string tag, std::string message) {
   return r;
 }
 
-CheckResult run_rtds_checks(const FuzzScenario& s) {
+CheckResult run_rtds_checks(const FuzzScenario& s, fault::InjectedBug bug) {
   const Topology topo = exp::make_topology(s.cond);
   std::vector<JobArrival> arrivals;
   if (s.workload != WorkloadMode::kOpenDiurnal)
@@ -118,9 +121,11 @@ CheckResult run_rtds_checks(const FuzzScenario& s) {
 
   // Reference run under the fatal checker: crashes and invariant
   // violations surface here with a classifiable tag.
+  SystemConfig cfg;
   std::unique_ptr<RtdsSystem> ref;
   try {
-    ref = run_rtds(s, topo, arrivals);
+    cfg = rtds_cfg_for(s, topo, bug);
+    ref = run_rtds(s, topo, cfg, arrivals);
   } catch (const std::exception& e) {
     return fail(classify_failure(e.what()), e.what());
   }
@@ -132,7 +137,7 @@ CheckResult run_rtds_checks(const FuzzScenario& s) {
     if (s.check_recompute && !s.plan.events.empty()) {
       // The incremental repairs must have left the tables route-for-route
       // identical to a from-scratch recompute over the final fault view.
-      const auto h = rtds_cfg_for(s, topo).node.sphere_radius_h;
+      const auto h = cfg.node.sphere_radius_h;
       const auto oracle = phased_apsp(topo, 2 * h, ref->fault_state());
       std::string why;
       if (!tables_equal(ref->routing_tables(), oracle, &why))
@@ -140,7 +145,7 @@ CheckResult run_rtds_checks(const FuzzScenario& s) {
     }
 
     if (s.check_replay) {
-      const auto again = run_rtds(s, topo, arrivals);
+      const auto again = run_rtds(s, topo, cfg, arrivals);
       const std::string bytes = metrics_line(again->metrics());
       if (bytes != ref_bytes)
         return fail("replay-divergence",
@@ -151,7 +156,6 @@ CheckResult run_rtds_checks(const FuzzScenario& s) {
       // The reference run cut at a scenario-derived event boundary, saved,
       // resumed into a fresh system and drained: its metric line must
       // match the uninterrupted reference byte for byte.
-      const SystemConfig cfg = rtds_cfg_for(s, topo);
       const std::uint64_t total = ref->simulator().executed_events();
       if (total > 1) {
         const std::uint64_t cut =
@@ -189,8 +193,9 @@ CheckResult run_rtds_checks(const FuzzScenario& s) {
                       {"viol", "violations", 0, 1.0}};
       spec.replicates = 2;
       spec.warm_start = false;
-      spec.trial = [&](const exp::GridPoint&, std::uint64_t) {
-        const auto sys = run_rtds(s, topo, arrivals);
+      spec.trial = [&](const exp::GridPoint&, std::uint64_t,
+                       const RunContext&) {
+        const auto sys = run_rtds(s, topo, cfg, arrivals);
         const RunMetrics& m = sys->metrics();
         return exp::TrialResult{m.guarantee_ratio(),
                                 static_cast<double>(m.arrived),
@@ -259,10 +264,9 @@ std::string classify_failure(const std::string& what) {
   return "exception";
 }
 
-CheckResult run_scenario_checks(const FuzzScenario& s) {
-  RTDS_REQUIRE_MSG(fault::invariants_fatal(),
-                   "fuzz checks need the fatal invariant scope installed");
-  CheckResult r = s.policy == "rtds" ? run_rtds_checks(s)
+CheckResult run_scenario_checks(const FuzzScenario& s,
+                                fault::InjectedBug bug) {
+  CheckResult r = s.policy == "rtds" ? run_rtds_checks(s, bug)
                                      : run_baseline_checks(s);
   if (!s.expect.empty()) {
     // Repro replay: the scenario pins a failure class; reproducing it is
@@ -277,18 +281,6 @@ CheckResult run_scenario_checks(const FuzzScenario& s) {
     }
   }
   return r;
-}
-
-FatalScope::FatalScope()
-    : prev_check_(fault::check_invariants_enabled()),
-      prev_fatal_(fault::invariants_fatal()) {
-  fault::set_check_invariants(true);
-  fault::set_invariants_fatal(true);
-}
-
-FatalScope::~FatalScope() {
-  fault::set_check_invariants(prev_check_);
-  fault::set_invariants_fatal(prev_fatal_);
 }
 
 }  // namespace rtds::fuzz

@@ -2,13 +2,14 @@
 // invariant checker and layers the silent-wrong-answer cross-checks on
 // top — replay determinism, snapshot-resume-at-a-random-cut equivalence,
 // incremental-repair vs full-recompute routing equality, and worker-count
-// invariance of exp aggregates. Pure: the same scenario always yields the
-// same CheckResult, which is what makes findings replayable and the
-// shrinker's predicate stable.
+// invariance of exp aggregates. Pure: the same scenario and seeded bug
+// always yield the same CheckResult, which is what makes findings
+// replayable and the shrinker's predicate stable.
 #pragma once
 
 #include <string>
 
+#include "fault/bugs.hpp"
 #include "fuzz/scenario.hpp"
 
 namespace rtds::fuzz {
@@ -31,21 +32,9 @@ struct CheckResult {
 /// name behind the "invariant violated: " prefix, else "exception".
 std::string classify_failure(const std::string& what);
 
-/// Runs the scenario's reference run plus every enabled cross-check.
-/// Requires fault::invariants_fatal() — the caller (fuzzer CLI, tests,
-/// rtds_cli --repro) installs the fatal scope once around the campaign.
-CheckResult run_scenario_checks(const FuzzScenario& s);
-
-/// RAII: force the process-global fatal invariant mode on, restore after.
-class FatalScope {
- public:
-  FatalScope();
-  ~FatalScope();
-  FatalScope(const FatalScope&) = delete;
-  FatalScope& operator=(const FatalScope&) = delete;
-
- private:
-  bool prev_check_, prev_fatal_;
-};
+/// Runs the scenario's reference run plus every enabled cross-check, the
+/// rtds runs under the fatal invariant checker with `bug` live.
+CheckResult run_scenario_checks(
+    const FuzzScenario& s, fault::InjectedBug bug = fault::InjectedBug::kNone);
 
 }  // namespace rtds::fuzz

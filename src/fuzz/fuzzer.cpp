@@ -40,7 +40,6 @@ std::string write_repro_file(const std::string& out_dir, std::uint64_t seed,
 }  // namespace
 
 FuzzReport run_fuzz(const FuzzOptions& opts, std::ostream& log) {
-  FatalScope fatal;
   const auto t0 = std::chrono::steady_clock::now();
   const auto deadline =
       t0 + std::chrono::duration<double>(
@@ -64,7 +63,7 @@ FuzzReport run_fuzz(const FuzzOptions& opts, std::ostream& log) {
       CheckResult r;
       try {
         scenario = generate_scenario(opts.seed, i);
-        r = run_scenario_checks(scenario);
+        r = run_scenario_checks(scenario, opts.bug);
       } catch (const std::exception& e) {
         // Harness-level throw (config rejected, generator bug): a finding,
         // not a terminate — fuzz campaigns must survive their own edges.
@@ -87,7 +86,7 @@ FuzzReport run_fuzz(const FuzzOptions& opts, std::ostream& log) {
       f.message = r.message;
       f.repro = opts.minimize
                     ? shrink_scenario(scenario, r.tag, opts.shrink_attempts,
-                                      &f.shrink)
+                                      &f.shrink, opts.bug)
                     : [&] {
                         FuzzScenario raw = scenario;
                         raw.expect = r.tag;

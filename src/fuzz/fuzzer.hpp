@@ -25,6 +25,9 @@ struct FuzzOptions {
   std::size_t shrink_attempts = 200;
   std::string out_dir;            ///< where .repro files land ("" = none)
   std::uint64_t progress_every = 25;  ///< scenarios between progress lines
+  /// Seeded mutant live in every rtds run of the campaign (fault/bugs.hpp;
+  /// the mutation harness). kNone fuzzes the protocol as written.
+  fault::InjectedBug bug = fault::InjectedBug::kNone;
 };
 
 struct Finding {
@@ -41,7 +44,7 @@ struct FuzzReport {
   std::vector<Finding> findings;  ///< sorted by scenario index
 };
 
-/// Runs the campaign. Installs the fatal invariant scope itself; progress
+/// Runs the campaign; its checks run the invariant checker fatal. Progress
 /// and finding lines go to `log`. Obs counters (fuzz.runs, fuzz.findings,
 /// fuzz.shrink_attempts) are recorded once from the final report, so an
 /// attached obs scope sees worker-count-invariant values.

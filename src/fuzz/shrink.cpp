@@ -11,11 +11,12 @@ namespace {
 class Shrinker {
  public:
   Shrinker(FuzzScenario best, std::string tag, std::size_t max_attempts,
-           ShrinkStats* stats)
+           ShrinkStats* stats, fault::InjectedBug bug)
       : best_(std::move(best)),
         tag_(std::move(tag)),
         max_attempts_(max_attempts),
-        stats_(stats) {}
+        stats_(stats),
+        bug_(bug) {}
 
   /// True iff the candidate still fails with the same tag; adopts it as
   /// the new best when it does AND it is no larger.
@@ -25,7 +26,7 @@ class Shrinker {
     if (stats_ != nullptr) stats_->attempts = attempts_;
     CheckResult r;
     try {
-      r = run_scenario_checks(cand);
+      r = run_scenario_checks(cand, bug_);
     } catch (const std::exception&) {
       return false;  // a broken candidate is never an improvement
     }
@@ -123,15 +124,17 @@ class Shrinker {
   std::size_t attempts_ = 0;
   std::size_t max_attempts_;
   ShrinkStats* stats_;
+  fault::InjectedBug bug_;
 };
 
 }  // namespace
 
 FuzzScenario shrink_scenario(const FuzzScenario& s, const std::string& tag,
-                             std::size_t max_attempts, ShrinkStats* stats) {
+                             std::size_t max_attempts, ShrinkStats* stats,
+                             fault::InjectedBug bug) {
   FuzzScenario seed = s;
   seed.expect.clear();  // the predicate matches raw tags while shrinking
-  Shrinker sh(std::move(seed), tag, max_attempts, stats);
+  Shrinker sh(std::move(seed), tag, max_attempts, stats, bug);
   // Fixpoint loop: each pass can unlock the next (fewer events make a
   // smaller topology viable, and so on). Size strictly decreases on every
   // improvement, so this terminates without a round cap.

@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <string>
 
+#include "fault/bugs.hpp"
 #include "fuzz/scenario.hpp"
 
 namespace rtds::fuzz {
@@ -18,11 +19,13 @@ struct ShrinkStats {
   std::size_t improvements = 0;  ///< candidates that kept the failure
 };
 
-/// Minimizes `s` while `tag` reproduces; spends at most `max_attempts`
-/// predicate runs. Returns the smallest reproducer found (at worst, `s`
-/// itself) with `expect` set to the tag — ready to serialize as a .repro.
-FuzzScenario shrink_scenario(const FuzzScenario& s, const std::string& tag,
-                             std::size_t max_attempts = 200,
-                             ShrinkStats* stats = nullptr);
+/// Minimizes `s` while `tag` reproduces under `bug`; spends at most
+/// `max_attempts` predicate runs. Returns the smallest reproducer found
+/// (at worst, `s` itself) with `expect` set to the tag — ready to
+/// serialize as a .repro.
+FuzzScenario shrink_scenario(
+    const FuzzScenario& s, const std::string& tag,
+    std::size_t max_attempts = 200, ShrinkStats* stats = nullptr,
+    fault::InjectedBug bug = fault::InjectedBug::kNone);
 
 }  // namespace rtds::fuzz

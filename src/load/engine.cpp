@@ -9,16 +9,6 @@
 
 namespace rtds::load {
 
-namespace {
-Time g_scenario_duration = 0.0;  // <= 0: no override
-}  // namespace
-
-void set_scenario_duration(Time duration) { g_scenario_duration = duration; }
-
-Time scenario_duration(Time fallback) {
-  return g_scenario_duration > 0.0 ? g_scenario_duration : fallback;
-}
-
 OpenRunResult run_open_rtds(const Topology& topo, ArrivalSource& source,
                             const OpenConfig& ocfg,
                             const policy::ParamMap& params) {
@@ -26,6 +16,7 @@ OpenRunResult run_open_rtds(const Topology& topo, ArrivalSource& source,
   SystemConfig cfg = policy::rtds_system_config_from(params);
   cfg.faults = fault::FaultPlan::from_spec(
       fault::fault_spec_from(params, ocfg.duration), topo);
+  cfg.context = ocfg.context;
   SteadyStateCollector collector(ocfg.window);
   cfg.on_decision_observed = [&collector](const JobDecision& d) {
     collector.on_decision(d);

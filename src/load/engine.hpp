@@ -15,6 +15,10 @@ struct OpenConfig {
   WindowConfig window;
   double knee_factor = 4.0;        ///< p99 divergence multiple (see window.hpp)
   std::uint64_t knee_min_count = 20;  ///< completions a window needs to count
+  /// Run settings handed to the RtdsSystem (checker mode, seeded mutant,
+  /// warm start); its `duration` is not read here — `duration` above is
+  /// the run length.
+  RunContext context;
 
   // --- checkpoint / resume (snap/, DESIGN.md §14) ---
   /// Periodically Snapshot::save_file the full run state (system, arrival
@@ -51,15 +55,5 @@ OpenRunResult run_open_rtds(const Topology& topo, ArrivalSource& source,
 RunMetrics run_open_policy(const policy::Policy& pol, const Topology& topo,
                            ArrivalSource& source, Time duration,
                            const policy::ParamMap& params);
-
-/// Process-global duration override for scenario trials (the rtds_exp
-/// `--scenario=e9_steady_state --duration=T` path — trial functions are
-/// pure data, so the CLI has no per-trial channel; precedent:
-/// fault::set_check_invariants). <= 0 clears the override. The parallel
-/// sweep and the --verify re-run read it identically, so verification
-/// compares like with like.
-void set_scenario_duration(Time duration);
-/// The override when set, else `fallback` (the scenario's built-in length).
-Time scenario_duration(Time fallback);
 
 }  // namespace rtds::load

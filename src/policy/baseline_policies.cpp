@@ -90,7 +90,7 @@ class LocalPolicy final : public Policy {
     return schema_of<local_table>();
   }
   RunMetrics run(const Topology& topo, const std::vector<JobArrival>& arrivals,
-                 const ParamMap& params) const override {
+                 const ParamMap& params, const RunContext&) const override {
     return run_local_only(topo, arrivals, local_table().decode(params),
                           crash_plan(params, topo, arrivals));
   }
@@ -107,7 +107,7 @@ class CentralPolicy final : public Policy {
     return schema_of<central_table>();
   }
   RunMetrics run(const Topology& topo, const std::vector<JobArrival>& arrivals,
-                 const ParamMap& params) const override {
+                 const ParamMap& params, const RunContext&) const override {
     CentralizedConfig cfg = central_table().decode(params);
     cfg.faults = crash_plan(params, topo, arrivals);
     return run_centralized(topo, arrivals, cfg);
@@ -125,7 +125,7 @@ class BcastPolicy final : public Policy {
     return schema_of<bcast_table>();
   }
   RunMetrics run(const Topology& topo, const std::vector<JobArrival>& arrivals,
-                 const ParamMap& params) const override {
+                 const ParamMap& params, const RunContext&) const override {
     BroadcastConfig cfg = bcast_table().decode(params);
     cfg.faults = crash_plan(params, topo, arrivals);
     return run_broadcast(topo, arrivals, cfg);
@@ -142,7 +142,7 @@ class OffloadFamilyPolicy : public Policy {
     return schema_of<offload_table>();
   }
   RunMetrics run(const Topology& topo, const std::vector<JobArrival>& arrivals,
-                 const ParamMap& params) const override {
+                 const ParamMap& params, const RunContext&) const override {
     OffloadConfig cfg = offload_table().decode(params);
     cfg.policy = pick_;
     cfg.faults = crash_plan(params, topo, arrivals);

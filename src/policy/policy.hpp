@@ -3,12 +3,13 @@
 // Every scheduler family in the repo — the paper's RTDS protocol and all
 // five comparison baselines (LOCAL, CENTRAL, BCAST, BID, RANDOM) — is one
 // Policy: a name, a ParamSchema describing its knobs, and a pure
-// run(topology, arrivals, params) -> RunMetrics. Policies are registered in
-// the string-keyed PolicyRegistry, so experiments, the rtds_exp / rtds_cli
-// front ends and tests all select schedulers as `(policy name, param
-// overrides)` *data* instead of calling per-family free functions with
-// per-family config structs. A new protocol variant plugs in by
-// registering itself; nothing in src/exp needs to change.
+// run(topology, arrivals, params, context) -> RunMetrics whose output
+// depends on those arguments alone, never on process state. Policies are
+// registered in the string-keyed PolicyRegistry, so experiments, the
+// rtds_exp / rtds_cli front ends and tests all select schedulers as
+// `(policy name, param overrides)` *data* instead of calling per-family
+// free functions with per-family config structs. A new protocol variant
+// plugs in by registering itself; nothing in src/exp needs to change.
 //
 // Contract (pinned by tests/policy_test.cpp): with an empty ParamMap a
 // policy's RunMetrics is bit-identical to the legacy entry point it wraps
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "core/metrics.hpp"
+#include "core/run_context.hpp"
 #include "core/workload.hpp"
 #include "net/topology.hpp"
 #include "policy/param_map.hpp"
@@ -43,10 +45,13 @@ class Policy {
   virtual const ParamSchema& describe_params() const = 0;
 
   /// Runs the whole workload to completion. Pure: all state is local to
-  /// the call, so concurrent runs of the same Policy object are safe.
+  /// the call and every run setting arrives in `ctx` (checker mode,
+  /// seeded mutant, warm start), so concurrent runs of the same Policy
+  /// object are safe. Families without an RtdsSystem ignore `ctx`.
   virtual RunMetrics run(const Topology& topo,
                          const std::vector<JobArrival>& arrivals,
-                         const ParamMap& params) const = 0;
+                         const ParamMap& params,
+                         const RunContext& ctx = {}) const = 0;
 
   /// Convenience: validate `key=value` assignments against this policy's
   /// schema.

@@ -137,10 +137,12 @@ class RtdsPolicy final : public Policy {
     return schema_of<rtds_table>();
   }
   RunMetrics run(const Topology& topo, const std::vector<JobArrival>& arrivals,
-                 const ParamMap& params) const override {
+                 const ParamMap& params,
+                 const RunContext& ctx) const override {
     SystemConfig cfg = rtds_system_config_from(params);
     cfg.faults = fault::FaultPlan::from_spec(
         fault::fault_spec_from(params, fault::fault_horizon(arrivals)), topo);
+    cfg.context = ctx;
     RtdsSystem system(topo, cfg);
     system.run(arrivals);
     return system.metrics();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "fault/bugs.hpp"
 #include "fault/fault.hpp"
 #include "obs/obs.hpp"
 
@@ -265,8 +264,8 @@ struct ApspRepairer::Impl {
   /// Level of a site past the levelled BFS's depth.
   static constexpr std::uint32_t kFar = 1u << 30;
 
-  Impl(const Topology& t, std::size_t p)
-      : topo(t), phases(p), sc(t, nullptr), csr(t),
+  Impl(const Topology& t, std::size_t p, fault::InjectedBug b)
+      : topo(t), phases(p), bug(b), sc(t, nullptr), csr(t),
         level(t.site_count(), kFar) {}
 
   /// Multi-source BFS over the static topology from `changed`, `depth`
@@ -300,6 +299,7 @@ struct ApspRepairer::Impl {
 
   const Topology& topo;
   const std::size_t phases;
+  const fault::InjectedBug bug;
   ApspScratch sc;
   const StaticCsr csr;  ///< static adjacency: a property of the topology
   // Per-repair buffers, reused across events.
@@ -318,8 +318,9 @@ struct ApspRepairer::Impl {
   RoutingTable::MergeScratch merge_scratch;
 };
 
-ApspRepairer::ApspRepairer(const Topology& topo, std::size_t phases)
-    : impl_(std::make_unique<Impl>(topo, phases)) {}
+ApspRepairer::ApspRepairer(const Topology& topo, std::size_t phases,
+                           fault::InjectedBug bug)
+    : impl_(std::make_unique<Impl>(topo, phases, bug)) {}
 
 ApspRepairer::~ApspRepairer() = default;
 
@@ -347,8 +348,7 @@ void ApspRepairer::repair(std::vector<RoutingTable>& tables,
   // a single site (callers pass it alone), R = phases for link endpoints.
   // The dirty destinations are the sites with lvl ≤ R.
   std::size_t radius = changed.size() == 1 ? phases + 1 : phases;
-  if (fault::injected_bug() == fault::InjectedBug::kRepairRadiusOffByOne &&
-      radius > 0)
+  if (im.bug == fault::InjectedBug::kRepairRadiusOffByOne && radius > 0)
     --radius;  // mutation-test target: under-dirty by one ring
   // Levels run `phases` past R: beyond that every site fails every
   // destination's pruning budget below, so kFar serves as its level.

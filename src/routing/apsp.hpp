@@ -25,6 +25,7 @@
 #include <span>
 #include <vector>
 
+#include "fault/bugs.hpp"
 #include "routing/routing_table.hpp"
 #include "sim/network.hpp"
 
@@ -63,9 +64,12 @@ std::vector<RoutingTable> phased_apsp(
 /// it owns the static adjacency and the O(sites) relaxation scratch, so a
 /// fault-heavy run pays only the live-adjacency refresh plus the
 /// in-budget work per event, with no steady-state allocation churn.
+/// `bug` selects a seeded mutant (fault/bugs.hpp) for the fuzzer's
+/// mutation harness.
 class ApspRepairer {
  public:
-  ApspRepairer(const Topology& topo, std::size_t phases);
+  ApspRepairer(const Topology& topo, std::size_t phases,
+               fault::InjectedBug bug = fault::InjectedBug::kNone);
   ~ApspRepairer();
   ApspRepairer(const ApspRepairer&) = delete;
   ApspRepairer& operator=(const ApspRepairer&) = delete;

@@ -674,6 +674,9 @@ void Access::io(Ar& ar, Context<Ar>& ctx, Ref<Ar, RtdsSystem> sys) {
         Time at = 0.0;
         Event event;
         field(ar, at);
+        if (!time_ge(at, sys.sim_.now()))  // NaN fails too
+          ar.fail("pending event at t=" + std::to_string(at) +
+                  " before the clock t=" + std::to_string(sys.sim_.now()));
         event_io(ar, ctx, sys.nodes_.size(), event);
         const bool ideal = sys.cfg_.transport_model == TransportModel::kIdeal;
         if (std::holds_alternative<ev::Deliver>(event) && !ideal)

@@ -15,7 +15,6 @@ namespace rtds::snap {
 
 namespace {
 
-std::atomic<bool> g_enabled{false};
 std::atomic<std::size_t> g_hits{0};
 std::atomic<std::size_t> g_misses{0};
 
@@ -31,14 +30,6 @@ std::map<std::pair<std::uint64_t, std::size_t>, std::string>& cache() {
 }
 
 }  // namespace
-
-void set_warm_start_enabled(bool on) {
-  g_enabled.store(on, std::memory_order_relaxed);
-}
-
-bool warm_start_enabled() {
-  return g_enabled.load(std::memory_order_relaxed);
-}
 
 bool warm_start_acquire(const Topology& topo, std::size_t h,
                         std::vector<RoutingTable>& tables,

@@ -16,9 +16,10 @@
 // sharing live objects) also keeps trials isolated under --jobs N: workers
 // only ever touch their own copies, and the cache itself is mutex-guarded.
 //
-// Off by default: the flag is process-global opt-in (rtds_exp/rtds_cli
-// --warm-start, TrialRunner::RunOptions::warm_start), because a cache that
-// outlives a run is a liability in memory-bounded soaks.
+// Off by default: each run opts in through RunContext::warm_start
+// (rtds_exp/rtds_cli --warm-start, exp::RunOptions::context), because a
+// cache that outlives a run is a liability in memory-bounded soaks. The
+// cache itself is process-wide; only its use is per run.
 #pragma once
 
 #include <cstddef>
@@ -31,10 +32,6 @@ class Pcs;
 }  // namespace rtds
 
 namespace rtds::snap {
-
-/// Process-global enable switch. Off by default.
-void set_warm_start_enabled(bool on);
-bool warm_start_enabled();
 
 /// Cache lookup for (topology, h). On a hit, fills `tables` and `spheres`
 /// with fresh deserialized copies and returns true. On a miss returns

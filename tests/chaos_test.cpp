@@ -342,21 +342,11 @@ TEST(ChaosDeterminism, SameSeedReplaysEveryMetricBitForBit) {
 
 // ------------------------------------------------------------ chaos soak --
 
-/// Restores the process-global checker flags even when an assertion fires.
-struct FatalCheckerScope {
-  FatalCheckerScope() {
-    fault::set_check_invariants(true);
-    fault::set_invariants_fatal(true);
-  }
-  ~FatalCheckerScope() {
-    fault::set_check_invariants(false);
-    fault::set_invariants_fatal(false);
-  }
-};
-
 TEST(ChaosSoak, TwentySeedsAcrossEveryPolicyHoldAllInvariants) {
   policy::register_builtin_policies();
-  const FatalCheckerScope scope;  // first violation throws, failing the test
+  RunContext fatal;  // first violation throws, failing the test
+  fatal.check_invariants = true;
+  fatal.invariants_fatal = true;
   const auto& names = policy::PolicyRegistry::instance().names();
   ASSERT_GE(names.size(), 6u);
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
@@ -377,7 +367,7 @@ TEST(ChaosSoak, TwentySeedsAcrossEveryPolicyHoldAllInvariants) {
                                "faults.site_rate=0.003", "faults.site_mttr=10",
                                "faults.seed=" + std::to_string(seed)};
       const RunMetrics m =
-          policy->run(c.topo, c.arrivals, policy->parse_params(params));
+          policy->run(c.topo, c.arrivals, policy->parse_params(params), fatal);
       EXPECT_EQ(m.accepted() + m.rejected, m.arrived)
           << "job conservation broke under chaos";
       EXPECT_EQ(m.invariant_violations, 0u);

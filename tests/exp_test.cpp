@@ -55,7 +55,8 @@ ScenarioSpec synthetic_spec() {
                   MetricSpec{"m1", "m1", 3}};
   spec.replicates = 4;
   // Pure function of (point, seed): exercises the runner, not the sim.
-  spec.trial = [](const GridPoint& p, std::uint64_t seed) -> TrialResult {
+  spec.trial = [](const GridPoint& p, std::uint64_t seed,
+                  const RunContext&) -> TrialResult {
     const double s = static_cast<double>(seed % 1000);
     return {p.value(0) * 10.0 + p.value(1) + s,
             p.value(0) - p.value(1) * 0.5 + s * 2.0};
@@ -81,9 +82,10 @@ TEST(Grid, ExpansionCounts) {
   std::atomic<int> calls{0};
   ScenarioSpec counted = spec;
   auto inner = spec.trial;
-  counted.trial = [&calls, inner](const GridPoint& p, std::uint64_t seed) {
+  counted.trial = [&calls, inner](const GridPoint& p, std::uint64_t seed,
+                                  const RunContext& ctx) {
     ++calls;
-    return inner(p, seed);
+    return inner(p, seed, ctx);
   };
   const auto rows = run_scenario(counted, RunOptions{4, 0});
   EXPECT_EQ(calls.load(), 24);
@@ -115,7 +117,8 @@ ScenarioSpec small_rtds_spec() {
   spec.metrics = {MetricSpec{"ratio", "ratio", 3},
                   MetricSpec{"msgs", "msgs", 1}};
   spec.replicates = 2;
-  spec.trial = [](const GridPoint& p, std::uint64_t seed) -> TrialResult {
+  spec.trial = [](const GridPoint& p, std::uint64_t seed,
+                  const RunContext&) -> TrialResult {
     ConditionSpec cs;
     cs.net = NetShape::kGrid;
     cs.sites = 16;
@@ -140,12 +143,12 @@ TEST(Runner, SameSeedBitIdenticalMetrics) {
   const ScenarioSpec spec = small_rtds_spec();
   const GridPoint point = spec.grid_point(1);
   const std::uint64_t seed = spec.seed_for(1, 0);
-  const TrialResult a = spec.trial(point, seed);
-  const TrialResult b = spec.trial(point, seed);
+  const TrialResult a = spec.trial(point, seed, {});
+  const TrialResult b = spec.trial(point, seed, {});
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t m = 0; m < a.size(); ++m) EXPECT_EQ(a[m], b[m]);
   // A different replicate's seed changes the workload (and so the metrics).
-  const TrialResult c = spec.trial(point, spec.seed_for(1, 1));
+  const TrialResult c = spec.trial(point, spec.seed_for(1, 1), {});
   EXPECT_NE(a[0], c[0]);
 }
 
@@ -161,7 +164,8 @@ TEST(Runner, ParallelMatchesSerialRealSystem) {
 
 TEST(Runner, SkippedMetricsLeaveCountShort) {
   ScenarioSpec spec = synthetic_spec();
-  spec.trial = [](const GridPoint& p, std::uint64_t) -> TrialResult {
+  spec.trial = [](const GridPoint& p, std::uint64_t,
+                  const RunContext&) -> TrialResult {
     return {p.value(0), std::numeric_limits<double>::quiet_NaN()};
   };
   const auto rows = run_scenario(spec, RunOptions{2, 0});
@@ -173,12 +177,30 @@ TEST(Runner, SkippedMetricsLeaveCountShort) {
 
 TEST(Runner, TrialExceptionsPropagate) {
   ScenarioSpec spec = synthetic_spec();
-  spec.trial = [](const GridPoint& p, std::uint64_t) -> TrialResult {
+  spec.trial = [](const GridPoint& p, std::uint64_t,
+                  const RunContext&) -> TrialResult {
     RTDS_REQUIRE_MSG(p.index != 3, "boom");
     return {0.0, 0.0};
   };
   EXPECT_THROW(run_scenario(spec, RunOptions{4, 0}), ContractViolation);
   EXPECT_THROW(run_scenario(spec, RunOptions{1, 0}), ContractViolation);
+}
+
+// The duration override changes what duration-aware trials compute, so a
+// sweep journal written under one override must not resume under another
+// (or under none).
+TEST(Runner, JournalResumeRejectsADifferentDuration) {
+  const ScenarioSpec spec = synthetic_spec();
+  RunOptions opts;
+  opts.journal_path = ::testing::TempDir() + "exp_test_duration_journal.bin";
+  opts.context.duration = 40.0;
+  const auto rows = run_scenario(spec, opts);
+  opts.resume = true;
+  EXPECT_TRUE(aggregates_identical(run_scenario(spec, opts), rows));
+  opts.context.duration = 120.0;
+  EXPECT_THROW(run_scenario(spec, opts), ContractViolation);
+  opts.context.duration = 0.0;
+  EXPECT_THROW(run_scenario(spec, opts), ContractViolation);
 }
 
 // --------------------------------------------------------------- sinks ----
@@ -251,7 +273,8 @@ TEST(Sinks, JsonlEscapesAwkwardStrings) {
 
 TEST(Sinks, NanMetricsRenderAsMissing) {
   ScenarioSpec spec = synthetic_spec();
-  spec.trial = [](const GridPoint& p, std::uint64_t) -> TrialResult {
+  spec.trial = [](const GridPoint& p, std::uint64_t,
+                  const RunContext&) -> TrialResult {
     return {p.value(0), std::numeric_limits<double>::quiet_NaN()};
   };
   const auto rows = run_scenario(spec, RunOptions{1, 0});

@@ -8,7 +8,7 @@
 //  (b) the .repro text format round-trips bit-for-bit for generated
 //      scenarios, and generation is a pure function of (seed, index);
 //  (c) a --runs-bounded campaign reports identical findings whatever the
-//      worker count (the satellite-6 determinism contract);
+//      worker count, and concurrent campaigns keep their own seeded bug;
 //  (d) mutation harness: each deliberately injected bug (src/fault/bugs.hpp)
 //      is found within a pinned seed budget and shrunk to at most a pinned
 //      repro size, and the shrunk repro replays its pinned tag;
@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/metrics.hpp"
@@ -44,7 +45,6 @@ using fault::FaultKind;
 using fault::FaultPlan;
 using fault::FaultState;
 using fault::InjectedBug;
-using fault::InjectedBugScope;
 using fault::InvariantChecker;
 
 Topology line3() {
@@ -59,54 +59,51 @@ Topology line3() {
 // invariants: forcing tests drive each hook directly into a violation.
 
 TEST(FuzzInvariants, SeqMonotoneRejectsRepeatedSequence) {
-  const fuzz::FatalScope fatal;
-  InvariantChecker chk;
+  InvariantChecker chk(/*fatal=*/true);
   chk.on_send_seq(1, 2, 5, 0.0);
   chk.on_send_seq(1, 2, 6, 1.0);      // strictly increasing: fine
   chk.on_send_seq(2, 1, 5, 1.0);      // independent (from,to) stream: fine
   EXPECT_THROW(chk.on_send_seq(1, 2, 6, 2.0), ContractViolation);  // repeat
-  InvariantChecker fresh;
+  InvariantChecker fresh(/*fatal=*/true);
   fresh.on_send_seq(1, 2, 5, 0.0);
   EXPECT_THROW(fresh.on_send_seq(1, 2, 4, 1.0), ContractViolation);  // drop
 }
 
 TEST(FuzzInvariants, RepairConsistencyRejectsCorruptedTable) {
-  const fuzz::FatalScope fatal;
   const Topology topo = line3();
   const FaultPlan empty;
   const FaultState faults(topo, empty);
   auto tables = phased_apsp(topo, 4);
   {
-    InvariantChecker chk;
+    InvariantChecker chk(/*fatal=*/true);
     chk.on_repair(tables, topo, faults, 1.0);  // the real tables are clean
   }
   // Corrupt 0 -> 2: claim a distance below the next hop's lower bound
   // (link 0-1 delay 1.0 + site 1's own distance 1.0 = 2.0).
   tables[0].set_line(2, RouteLine{0.5, 1, 2});
-  InvariantChecker chk;
+  InvariantChecker chk(/*fatal=*/true);
   EXPECT_THROW(chk.on_repair(tables, topo, faults, 1.0), ContractViolation);
 }
 
 TEST(FuzzInvariants, RepairConsistencyRejectsRouteOverDeadLink) {
-  const fuzz::FatalScope fatal;
   const Topology topo = line3();
   const FaultPlan empty;
   FaultState faults(topo, empty);
   const auto tables = phased_apsp(topo, 4);  // faultless routes use 0-1
   faults.apply(FaultEvent{0.0, FaultKind::kLinkDown, 0, 1});
-  InvariantChecker chk;
+  InvariantChecker chk(/*fatal=*/true);
   EXPECT_THROW(chk.on_repair(tables, topo, faults, 1.0), ContractViolation);
 }
 
-/// The first violation message `chk.on_repair` throws in fatal mode, or ""
-/// when the audit passes.
-std::string first_repair_violation(InvariantChecker& chk,
+/// The first violation message a fatal copy of `chk` throws from
+/// on_repair, or "" when the audit passes. `chk` itself is untouched.
+std::string first_repair_violation(const InvariantChecker& chk,
                                    const std::vector<RoutingTable>& tables,
                                    const Topology& topo,
                                    const FaultState& faults, Time now) {
-  const fuzz::FatalScope fatal;
+  InvariantChecker fatal(chk, /*fatal=*/true);
   try {
-    chk.on_repair(tables, topo, faults, now);
+    fatal.on_repair(tables, topo, faults, now);
   } catch (const ContractViolation& e) {
     return e.what();
   }
@@ -133,7 +130,6 @@ bool pick_multi_hop(const std::vector<RoutingTable>& tables, Rng& rng,
 // tables are corrupted behind the repairer's back, so the incremental
 // path has to find the damage by content, not from the repair's dirty set.
 TEST(FuzzInvariants, IncrementalRepairAuditMatchesFullAudit) {
-  ASSERT_FALSE(fault::invariants_fatal());
   Rng rng(2024);
   const Topology topo = make_grid(12, 12, DelayRange{0.5, 1.5}, rng);
   const std::size_t phases = 4;  // h = 2
@@ -144,11 +140,9 @@ TEST(FuzzInvariants, IncrementalRepairAuditMatchesFullAudit) {
   InvariantChecker inc;
   std::uint64_t corruptions = 0, violating_audits = 0;
   auto audit = [&](Time now) {
-    InvariantChecker probe = inc;  // a copy keeps inc's shadow valid
-    InvariantChecker fresh_fatal;
-    const std::string msg = first_repair_violation(fresh_fatal, tables, topo,
-                                                   faults, now);
-    EXPECT_EQ(first_repair_violation(probe, tables, topo, faults, now), msg)
+    const std::string msg = first_repair_violation(InvariantChecker{}, tables,
+                                                   topo, faults, now);
+    EXPECT_EQ(first_repair_violation(inc, tables, topo, faults, now), msg)
         << "at t=" << now;
     const std::uint64_t before = inc.violations();
     InvariantChecker fresh;
@@ -237,25 +231,25 @@ TEST(FuzzInvariants, IncrementalRepairAuditMatchesFullAudit) {
 }
 
 TEST(FuzzInvariants, ShedConservationRejectsQueueAccountingDrift) {
-  const fuzz::FatalScope fatal;
   const RunMetrics zero;
   {
-    InvariantChecker chk;  // a push with no matching remove
+    InvariantChecker chk(/*fatal=*/true);  // a push with no matching remove
     chk.on_queue_push(0, 0.0);
     chk.on_queue_push(0, 1.0);
     chk.on_queue_remove(0, 2.0);
     EXPECT_THROW(chk.finish(zero, 0, 3.0), ContractViolation);
   }
   {
-    InvariantChecker chk;  // a node-level shed event metrics never recorded
+    // a node-level shed event metrics never recorded
+    InvariantChecker chk(/*fatal=*/true);
     chk.on_shed(0, 0.0);
     EXPECT_THROW(chk.finish(zero, 0, 1.0), ContractViolation);
   }
   {
-    InvariantChecker chk;  // a remove that was never pushed
+    InvariantChecker chk(/*fatal=*/true);  // a remove that was never pushed
     EXPECT_THROW(chk.on_queue_remove(0, 0.0), ContractViolation);
   }
-  InvariantChecker chk;  // balanced books finish clean
+  InvariantChecker chk(/*fatal=*/true);  // balanced books finish clean
   chk.on_queue_push(0, 0.0);
   chk.on_queue_remove(0, 1.0);
   chk.finish(zero, 0, 2.0);
@@ -296,8 +290,8 @@ TEST(FuzzRepro, GenerationIsAPureFunctionOfSeedAndIndex) {
 TEST(FuzzCampaign, FindingsAreIdenticalAcrossWorkerCounts) {
   // An injected bug guarantees findings to compare; minimize=false keeps
   // the repros raw so the comparison covers the full scenario bytes.
-  const InjectedBugScope bug(InjectedBug::kDedupFalsePositive);
   fuzz::FuzzOptions opts;
+  opts.bug = InjectedBug::kDedupFalsePositive;
   opts.seed = 2024;
   opts.runs = 120;
   opts.minimize = false;
@@ -319,6 +313,41 @@ TEST(FuzzCampaign, FindingsAreIdenticalAcrossWorkerCounts) {
   }
 }
 
+// A campaign's seeded bug lives in its own FuzzOptions, so a mutant
+// campaign and a bug-free one sharing the process cannot see each other's
+// setting: the bug-free run stays clean and the mutant's first finding is
+// the one it reports alone. A process-wide bug switch fails both halves.
+TEST(FuzzCampaign, ConcurrentCampaignsKeepTheirOwnBug) {
+  fuzz::FuzzOptions mutant;
+  mutant.bug = InjectedBug::kDedupFalsePositive;
+  mutant.seed = 2024;
+  mutant.runs = 120;
+  mutant.minimize = false;
+  mutant.progress_every = 0;
+  fuzz::FuzzOptions clean = mutant;
+  clean.bug = InjectedBug::kNone;
+
+  std::ostringstream sink;
+  const fuzz::FuzzReport alone = fuzz::run_fuzz(mutant, sink);
+  ASSERT_FALSE(alone.findings.empty())
+      << "seed budget too small to exercise the comparison";
+
+  fuzz::FuzzReport beside, bug_free;
+  std::ostringstream sink_a, sink_b;
+  std::thread a([&] { beside = fuzz::run_fuzz(mutant, sink_a); });
+  std::thread b([&] { bug_free = fuzz::run_fuzz(clean, sink_b); });
+  a.join();
+  b.join();
+
+  EXPECT_EQ(bug_free.runs_done, 120u);
+  EXPECT_TRUE(bug_free.findings.empty()) << sink_b.str();
+  ASSERT_FALSE(beside.findings.empty());
+  EXPECT_EQ(beside.findings.front().index, alone.findings.front().index);
+  EXPECT_EQ(beside.findings.front().tag, alone.findings.front().tag);
+  EXPECT_EQ(fuzz::to_repro(beside.findings.front().repro),
+            fuzz::to_repro(alone.findings.front().repro));
+}
+
 // --------------------------------------------- (d) the mutation harness
 
 struct SeededBugCase {
@@ -336,8 +365,8 @@ TEST(FuzzMutation, FindsAndShrinksEverySeededBug) {
       {InjectedBug::kCrashKeepsLock, "crash-keeps-lock", 2024, 120, 120},
   };
   for (const auto& c : cases) {
-    const InjectedBugScope bug(c.bug);
     fuzz::FuzzOptions opts;
+    opts.bug = c.bug;
     opts.seed = c.seed;
     opts.runs = c.runs;
     opts.jobs = 4;
@@ -356,8 +385,7 @@ TEST(FuzzMutation, FindsAndShrinksEverySeededBug) {
         << c.name << " repro did not shrink enough";
     // The shrunk repro must replay its pinned tag (failed=false means the
     // expected failure reproduced — the rtds_cli --repro contract).
-    const fuzz::FatalScope fatal;
-    const fuzz::CheckResult replay = fuzz::run_scenario_checks(f.repro);
+    const fuzz::CheckResult replay = fuzz::run_scenario_checks(f.repro, c.bug);
     EXPECT_FALSE(replay.failed)
         << c.name << " shrunk repro did not replay: " << replay.message;
   }

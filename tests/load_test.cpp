@@ -17,7 +17,6 @@
 #include "exp/runner.hpp"
 #include "exp/scenarios.hpp"
 #include "exp/sinks.hpp"
-#include "fault/invariants.hpp"
 #include "load/engine.hpp"
 #include "load/source.hpp"
 #include "load/window.hpp"
@@ -304,11 +303,6 @@ policy::ParamMap shed_params(const policy::Policy& pol, const char* cap,
 /// must be conserved (decided == submitted — sheds are decisions too) and
 /// the pressure must actually shed.
 TEST(OpenRun, ShedPoliciesConserveJobsUnderFatalInvariants) {
-  const bool was_checking = fault::check_invariants_enabled();
-  const bool was_fatal = fault::invariants_fatal();
-  fault::set_check_invariants(true);
-  fault::set_invariants_fatal(true);
-
   Rng rng(42);
   const Topology topo =
       make_net(NetShape::kGrid, 16, DelayRange{0.5, 2.0}, rng);
@@ -322,6 +316,8 @@ TEST(OpenRun, ShedPoliciesConserveJobsUnderFatalInvariants) {
     const auto source = make_arrival_source(spec);
     OpenConfig cfg;
     cfg.duration = 150.0;
+    cfg.context.check_invariants = true;
+    cfg.context.invariants_fatal = true;
     const OpenRunResult r =
         run_open_rtds(topo, *source, cfg, shed_params(*pol, "1", shed));
     const RunMetrics& m = r.metrics;
@@ -334,9 +330,6 @@ TEST(OpenRun, ShedPoliciesConserveJobsUnderFatalInvariants) {
     EXPECT_GT(it->second, 0u) << shed;
     EXPECT_EQ(m.deadline_misses, 0u) << shed;
   }
-
-  fault::set_check_invariants(was_checking);
-  fault::set_invariants_fatal(was_fatal);
 }
 
 /// shed.cap=0 (the default) must leave closed-batch runs byte-identical:
@@ -377,12 +370,11 @@ exp::ScenarioSpec reduced_e9() {
 }
 
 std::uint64_t e9_digest(std::size_t jobs) {
-  set_scenario_duration(120.0);
   const exp::ScenarioSpec spec = reduced_e9();
   exp::RunOptions opts;
   opts.jobs = jobs;
+  opts.context.duration = 120.0;
   const auto rows = exp::run_scenario(spec, opts);
-  set_scenario_duration(0.0);
   std::ostringstream os;
   exp::CsvSink{}.write(spec, rows, os);
   return fnv1a(os.str());

@@ -25,9 +25,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -723,6 +725,29 @@ TEST(SnapshotNegative, PendingFaultForUnknownSiteThrows) {
                                   /*byte=*/true),
                     22, 7000),
       "link to site 7000");
+}
+
+// A pending event before the restored clock (or at a NaN time) can never
+// fire in order: it must fail as a ContractViolation naming the events
+// section, never reach Simulator::post_at's unlocated refusal.
+TEST(SnapshotNegative, PendingEventBeforeClockThrows) {
+  const ChaosCase cc = make_chaos_case(11, "ideal");
+  const std::string good = valid_snapshot(cc);
+  const SectionSpan s = section_named(sections_of(good), "events");
+  for (const double at : {0.0, std::numeric_limits<double>::quiet_NaN()}) {
+    std::string bad = good;
+    write_u64(bad, s.body + 8, std::bit_cast<std::uint64_t>(at));
+    reseal(bad, s);
+    RtdsSystem fresh(cc.condition.topo, cc.cfg);
+    try {
+      Snapshot::load(std::move(bad), fresh);
+      ADD_FAILURE() << "a pending event at t=" << at << " loaded";
+    } catch (const ContractViolation& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("section 'events'"), std::string::npos) << what;
+      EXPECT_NE(what.find("before the clock"), std::string::npos) << what;
+    }
+  }
 }
 
 // A contended transport's busy table may only name directed links of the

@@ -25,7 +25,6 @@
 #include "exp/scenario.hpp"
 #include "exp/scenarios.hpp"
 #include "exp/sinks.hpp"
-#include "load/engine.hpp"
 #include "snap/warm_start.hpp"
 
 namespace rtds {
@@ -45,25 +44,20 @@ std::uint64_t fnv1a(const std::string& bytes) {
   return h;
 }
 
-/// Restores the process-global warm-start switch and empties the cache on
-/// both edges, so tests compose in any order within the gtest process.
-class WarmStartGuard {
- public:
-  explicit WarmStartGuard(bool enable)
-      : previous_(snap::warm_start_enabled()) {
-    snap::warm_start_clear();
-    snap::set_warm_start_enabled(enable);
-  }
-  ~WarmStartGuard() {
-    snap::set_warm_start_enabled(previous_);
-    snap::warm_start_clear();
-  }
-  WarmStartGuard(const WarmStartGuard&) = delete;
-  WarmStartGuard& operator=(const WarmStartGuard&) = delete;
-
- private:
-  bool previous_;
+/// Empties the process-wide cache on both edges, so tests compose in any
+/// order within the gtest process.
+struct CacheClearGuard {
+  CacheClearGuard() { snap::warm_start_clear(); }
+  ~CacheClearGuard() { snap::warm_start_clear(); }
+  CacheClearGuard(const CacheClearGuard&) = delete;
+  CacheClearGuard& operator=(const CacheClearGuard&) = delete;
 };
+
+RunContext warm() {
+  RunContext ctx;
+  ctx.warm_start = true;
+  return ctx;
+}
 
 std::string metrics_bytes(const RunMetrics& m) {
   std::ostringstream os;
@@ -79,14 +73,10 @@ TEST(WarmStart, CacheHitIsByteIdenticalToColdBuild) {
   cs.horizon = 300.0;
   const exp::Condition c = exp::make_condition(cs);
   SystemConfig cfg;
+  const CacheClearGuard clear;
+  const std::string cold = metrics_bytes(exp::run_rtds(c, cfg));
 
-  std::string cold;
-  {
-    const WarmStartGuard off(false);
-    cold = metrics_bytes(exp::run_rtds(c, cfg));
-  }
-
-  const WarmStartGuard on(true);
+  cfg.context.warm_start = true;
   const std::size_t hits0 = snap::warm_start_hits();
   const std::size_t misses0 = snap::warm_start_misses();
   const std::string first = metrics_bytes(exp::run_rtds(c, cfg));
@@ -118,8 +108,6 @@ std::string csv_bytes(const exp::ScenarioSpec& spec,
 
 TEST(WarmStart, EveryRegisteredScenarioMatchesColdStart) {
   exp::register_builtin_scenarios();
-  // Keep the duration-driven scenarios (e9) short; 0 restores the default.
-  load::set_scenario_duration(120.0);
   for (const std::string& name : exp::Registry::instance().scenario_names()) {
     const exp::ScenarioSpec* base = exp::Registry::instance().find(name);
     ASSERT_NE(base, nullptr);
@@ -129,12 +117,12 @@ TEST(WarmStart, EveryRegisteredScenarioMatchesColdStart) {
     const exp::ScenarioSpec spec = reduced(*base);
     exp::RunOptions opts;
     opts.replicates = 1;
+    opts.context.duration = 120.0;  // keeps the duration-driven e9 short
 
-    WarmStartGuard off(false);
+    const CacheClearGuard clear;
     const auto cold = exp::run_scenario(spec, opts);
 
-    const WarmStartGuard on(true);
-    opts.warm_start = true;
+    opts.context.warm_start = true;
     const auto warm = exp::run_scenario(spec, opts);
 
     EXPECT_TRUE(exp::aggregates_identical(warm, cold))
@@ -142,7 +130,6 @@ TEST(WarmStart, EveryRegisteredScenarioMatchesColdStart) {
     EXPECT_EQ(csv_bytes(spec, warm), csv_bytes(spec, cold))
         << name << ": warm-start CSV bytes diverged from cold start";
   }
-  load::set_scenario_duration(0.0);
 }
 
 // --------------------------------------------- golden digests, warmed --
@@ -154,37 +141,36 @@ TEST(WarmStart, ReducedE1GoldenDigestReproduces) {
   ASSERT_NE(base, nullptr);
   exp::ScenarioSpec spec = *base;
   spec.axes.at(0).values.resize(3);  // same reduction as determinism_test
-  const WarmStartGuard on(true);
+  const CacheClearGuard clear;
   exp::RunOptions opts;
-  opts.warm_start = true;
+  opts.context = warm();
   const auto rows = exp::run_scenario(spec, opts);
   EXPECT_EQ(fnv1a(csv_bytes(spec, rows)), kE1CsvDigest);
 }
 
 TEST(WarmStart, Fig2ReportDigestReproduces) {
   exp::register_builtin_scenarios();
-  const WarmStartGuard on(true);
+  const CacheClearGuard clear;
   std::ostringstream os;
-  exp::run_report("fig2_table1", os);
+  exp::run_report("fig2_table1", os, warm());
   EXPECT_EQ(fnv1a(os.str()), kFig2ReportDigest);
 }
 
 TEST(WarmStart, EveryRegisteredReportMatchesColdStart) {
   exp::register_builtin_scenarios();
-  load::set_scenario_duration(60.0);  // bounds e9_saturation
+  RunContext ctx;
+  ctx.duration = 60.0;  // bounds e9_saturation
   for (const std::string& name : exp::Registry::instance().report_names()) {
+    const CacheClearGuard clear;
     std::ostringstream cold_os;
-    {
-      WarmStartGuard off(false);
-      exp::run_report(name, cold_os);
-    }
-    const WarmStartGuard on(true);
+    ctx.warm_start = false;
+    exp::run_report(name, cold_os, ctx);
     std::ostringstream warm_os;
-    exp::run_report(name, warm_os);
+    ctx.warm_start = true;
+    exp::run_report(name, warm_os, ctx);
     EXPECT_EQ(warm_os.str(), cold_os.str())
         << name << ": warm-start report bytes diverged from cold start";
   }
-  load::set_scenario_duration(0.0);
 }
 
 }  // namespace
