@@ -375,7 +375,8 @@ int run_sweep(const ScenarioSpec& base, const Flags& flags,
                  "container: RTDSNAP magic, format v"
               << snap::kFormatVersion
               << ", sweep-identity hash over scenario/grid/replicates/"
-                 "seeds/observe; then checksummed \"trial\" sections)\n";
+                 "seeds/observe and any --duration override; then "
+                 "checksummed \"trial\" sections)\n";
     return 2;
   }
   write_obs_outputs(obs_flags, observation.traces, observation.metrics);

@@ -175,30 +175,40 @@ void RtdsSystem::start(const std::vector<JobArrival>& arrivals) {
   ran_ = true;
   job_messages_.reserve(arrivals.size());
   accepted_.reserve(arrivals.size());
+  // Arrival j gets seq k + j, after the constructor's k events: at one
+  // instant, arrivals fire after those, in vector order, and before every
+  // event the run schedules later.
+  std::uint64_t seq = sim_.reserve_seqs(arrivals.size());
+  closed_.reserve(arrivals.size());
   // Duplicate-id check via one sort instead of a node per arrival (large
   // scenario trials schedule thousands of arrivals here).
   std::vector<JobId> ids;
   ids.reserve(arrivals.size());
   for (const auto& a : arrivals) {
-    RTDS_REQUIRE(a.site < nodes_.size());
-    RTDS_REQUIRE(a.job != nullptr);
+    validate(a);
     ids.push_back(a.job->id);
-    RTDS_REQUIRE_MSG(time_lt(a.job->release, a.job->deadline),
-                     "job " << a.job->id << " has an empty window");
-    sim_.post_at(a.job->release, *this, ev::Arrival{a.site, a.job});
+    closed_.push_back({a.job, seq++, a.site});
   }
   std::sort(ids.begin(), ids.end());
   const auto dup = std::adjacent_find(ids.begin(), ids.end());
   RTDS_REQUIRE_MSG(dup == ids.end(), "duplicate job id " << *dup);
+  std::sort(closed_.begin(), closed_.end(),
+            [](const ClosedArrival& x, const ClosedArrival& y) {
+              const Time tx = queued_time(*x.job);
+              const Time ty = queued_time(*y.job);
+              return tx < ty || (tx == ty && x.seq < y.seq);
+            });
   if (checker_ != nullptr) checker_->on_submitted(arrivals.size());
+  post_next_arrival();
 }
 
 void RtdsSystem::start_stream(std::function<std::optional<JobArrival>()> next) {
   RTDS_REQUIRE_MSG(!ran_, "RtdsSystem::run may only be called once");
   RTDS_REQUIRE(next != nullptr);
   ran_ = true;
+  streamed_ = true;
   stream_next_ = std::move(next);
-  if (auto first = stream_next_()) schedule_streamed(std::move(*first));
+  post_next_arrival();
 }
 
 std::size_t RtdsSystem::step_events(std::size_t max_events) {
@@ -216,21 +226,37 @@ void RtdsSystem::finish() {
   verify_invariants();
 }
 
-void RtdsSystem::schedule_streamed(JobArrival a) {
+void RtdsSystem::validate(const JobArrival& a) const {
   RTDS_REQUIRE(a.site < nodes_.size());
   RTDS_REQUIRE(a.job != nullptr);
   RTDS_REQUIRE_MSG(time_lt(a.job->release, a.job->deadline),
                    "job " << a.job->id << " has an empty window");
+}
+
+void RtdsSystem::post_next_arrival() {
+  if (closed_next_ < closed_.size()) {
+    ClosedArrival& a = closed_[closed_next_++];
+    const Time at = queued_time(*a.job);
+    sim_.post_reserved(at, a.seq, *this, ev::Arrival{a.site, std::move(a.job)});
+    return;
+  }
+  if (!streamed_) return;
+  RTDS_REQUIRE_MSG(stream_next_ != nullptr,
+                   "a restored open run needs set_stream_source before it "
+                   "steps");
+  std::optional<JobArrival> a = stream_next_();
+  if (!a.has_value()) return;
+  validate(*a);
   // Sources contract non-decreasing releases exactly (no epsilon): the
   // lazy chain schedules each submit from inside its predecessor's event,
   // so a backwards release would schedule into the past.
-  RTDS_REQUIRE_MSG(!(a.job->release < last_stream_release_),
+  RTDS_REQUIRE_MSG(!(a->job->release < last_stream_release_),
                    "streamed arrivals must have non-decreasing releases (job "
-                       << a.job->id << ")");
-  last_stream_release_ = a.job->release;
+                       << a->job->id << ")");
+  last_stream_release_ = a->job->release;
   if (checker_ != nullptr) checker_->on_submitted(1);
-  const Time release = a.job->release;
-  sim_.post_at(release, *this, ev::StreamArrival{a.site, std::move(a.job)});
+  sim_.post_at(last_stream_release_, *this,
+               ev::Arrival{a->site, std::move(a->job)});
 }
 
 void RtdsSystem::fire(Event& event) {
@@ -241,9 +267,7 @@ void RtdsSystem::fire(Event& event) {
           apply_fault(e.fault);
         } else if constexpr (std::is_same_v<E, ev::Arrival>) {
           nodes_[e.site]->submit(std::move(e.job));
-        } else if constexpr (std::is_same_v<E, ev::StreamArrival>) {
-          nodes_[e.site]->submit(std::move(e.job));
-          if (auto nxt = stream_next_()) schedule_streamed(std::move(*nxt));
+          post_next_arrival();
         } else if constexpr (std::is_same_v<E, ev::EnrollTimeout>) {
           nodes_[e.site]->on_enroll_timeout(e.job);
         } else if constexpr (std::is_same_v<E, ev::Mapper>) {

@@ -89,9 +89,13 @@ class RtdsSystem : public NodeEnv {
   // and either keep going or exit; a resumed run re-enters between start
   // and finish via Snapshot::load.
 
-  /// Validates + schedules every arrival (closed-world runs).
+  /// Validates every arrival and queues the first (closed-world runs). The
+  /// system keeps its own copy in (release, vector index) order; each
+  /// arrival posts the next when it fires, under the sequence number
+  /// reserved for it here, so ties fire as if every arrival had been
+  /// posted at once.
   void start(const std::vector<JobArrival>& arrivals);
-  /// Primes the lazy arrival chain (open-system runs).
+  /// Queues the first arrival of the lazy chain (open-system runs).
   void start_stream(std::function<std::optional<JobArrival>()> next);
   /// Fires at most `max_events` events; returns the number fired (0 means
   /// the queue is drained and finish() may run).
@@ -107,7 +111,7 @@ class RtdsSystem : public NodeEnv {
   /// reconstructs the ArrivalSource (whose generator state IS in the
   /// snapshot) and hands the pull function back in before stepping.
   /// Closed-world resumes never need this (their arrivals are pending
-  /// events in the snapshot).
+  /// event records in the snapshot).
   void set_stream_source(std::function<std::optional<JobArrival>()> next) {
     stream_next_ = std::move(next);
   }
@@ -135,9 +139,19 @@ class RtdsSystem : public NodeEnv {
 
  private:
   void verify_invariants();
-  /// Validates one streamed arrival and schedules its submit event, which
-  /// on firing pulls + schedules the successor (the lazy chain).
-  void schedule_streamed(JobArrival a);
+  /// Rejects an arrival at an unknown site, without a job, or with an
+  /// empty window.
+  void validate(const JobArrival& a) const;
+  /// Queues the run's next arrival, if any: a closed run's next one under
+  /// its reserved seq, or an open run's next pulled one. start,
+  /// start_stream and every arrival event call it, so at most one arrival
+  /// is ever queued.
+  void post_next_arrival();
+  /// When a closed-run arrival fires: its release, clamped to the run's
+  /// start as Simulator::post_at clamps FP noise below the clock.
+  static Time queued_time(const Job& job) {
+    return job.release > 0.0 ? job.release : 0.0;
+  }
   /// Runs the fault, arrival and node events (sim/event.hpp) through one
   /// visit; the transports run their own.
   void fire(Event& event) override;
@@ -191,7 +205,19 @@ class RtdsSystem : public NodeEnv {
   /// conclude); reconciled in on_job_decision.
   FlatSet<JobId> early_failures_;
   bool ran_ = false;
-  // --- streaming state (run_stream only) ---
+  // --- the arrival feed ---
+  /// A closed-run arrival and the sequence number start() reserved for it.
+  struct ClosedArrival {
+    std::shared_ptr<const Job> job;
+    std::uint64_t seq;
+    SiteId site;
+  };
+  /// A closed run's arrivals in (queued_time, seq) order; the first
+  /// closed_next_ have been posted.
+  std::vector<ClosedArrival> closed_;
+  std::size_t closed_next_ = 0;
+  /// An open run: arrivals are pulled from stream_next_.
+  bool streamed_ = false;
   std::function<std::optional<JobArrival>()> stream_next_;
   Time last_stream_release_ = 0.0;
 

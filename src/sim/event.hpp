@@ -11,8 +11,10 @@
 // no closure ever has to be rebuilt. Closures (Simulator::schedule_at)
 // remain for baselines, tests and benchmarks; a checkpoint refuses them.
 //
-// The alternative index is the event kind byte of the snapshot format:
-// append new kinds, never reorder.
+// The alternative index is the event kind byte of the snapshot format,
+// except that an arrival is kind 2 in a closed run and 3 in an open one,
+// so the kinds after Arrival sit one above their index (snap/snapshot.cpp
+// maps them): append new kinds, never reorder.
 #pragma once
 
 #include <cstdint>
@@ -29,11 +31,7 @@ namespace ev {
 struct Fault {  ///< apply_fault
   fault::FaultEvent fault;
 };
-struct Arrival {  ///< closed run(): the node submits the job
-  SiteId site;
-  std::shared_ptr<const Job> job;
-};
-struct StreamArrival {  ///< submit, then pull the next streamed arrival
+struct Arrival {  ///< submit the job, then post the run's next arrival
   SiteId site;
   std::shared_ptr<const Job> job;
 };
@@ -101,11 +99,11 @@ struct ContendedHop {  ///< store-and-forward: arrives at `cur`
 }  // namespace ev
 
 using Event =
-    std::variant<std::monostate, ev::Fault, ev::Arrival, ev::StreamArrival,
-                 ev::EnrollTimeout, ev::Mapper, ev::ValidateTimeout,
-                 ev::RetryTimer, ev::Completion, ev::LeaseExpiry,
-                 ev::StartNext, ev::SelfDeliver, ev::Deliver,
-                 ev::ContendedInject, ev::ContendedHop>;
+    std::variant<std::monostate, ev::Fault, ev::Arrival, ev::EnrollTimeout,
+                 ev::Mapper, ev::ValidateTimeout, ev::RetryTimer,
+                 ev::Completion, ev::LeaseExpiry, ev::StartNext,
+                 ev::SelfDeliver, ev::Deliver, ev::ContendedInject,
+                 ev::ContendedHop>;
 
 /// Runs the events it posted (Simulator::post_at) when they fire.
 class EventOwner {

@@ -15,8 +15,9 @@
 // The priority structure is a monotone radix heap (Ahuja, Mehlhorn, Orlin &
 // Tarjan) over the 128-bit key (time bits, seq), read as hexadecimal digits.
 // Non-negative doubles order like their bit patterns (-0.0 is canonicalized
-// to +0.0), schedule_at never goes below now(), and seq only grows, so no
-// key pushed is ever below the last popped one. A push lands in O(1) in the
+// to +0.0), schedule_at never goes below now(), a fresh seq only grows and
+// a reserved one (post_reserved) is checked against the last popped key, so
+// no key pushed is ever below the last popped one. A push lands in O(1) in the
 // bucket named by the highest digit where its key differs from that last
 // key (level) and its value there; each bucket keeps its minimum, so the
 // lowest non-empty bucket's minimum is the next event. A pop takes it and
@@ -93,6 +94,37 @@ class Simulator {
     post_at(now_ + delay, owner, std::forward<E>(event));
   }
 
+  /// Reserves the next `n` sequence numbers as the band post_reserved
+  /// draws from and returns the first; a new band replaces the last. An
+  /// event posted later under a reserved seq breaks ties exactly as if it
+  /// had been posted at reservation time: a closed run reserves one seq
+  /// per arrival at start and posts each arrival only when the one before
+  /// it fires.
+  std::uint64_t reserve_seqs(std::uint64_t n) {
+    band_begin_ = next_seq_;
+    next_seq_ += n;
+    band_end_ = next_seq_;
+    return band_begin_;
+  }
+
+  /// post_at under a sequence number from the reserved band (each used
+  /// once). The key (at, seq) may not lie below the last popped event's:
+  /// the queue only moves forward.
+  template <typename E>
+  void post_reserved(Time at, std::uint64_t seq, EventOwner& owner,
+                     E&& event) {
+    RTDS_REQUIRE_MSG(seq >= band_begin_ && seq < band_end_,
+                     "seq " << seq << " outside the reserved band ["
+                            << band_begin_ << ", " << band_end_ << ")");
+    const std::uint64_t time = key_time(at);
+    RTDS_REQUIRE_MSG(time > last_time_ ||
+                         (time == last_time_ && seq >= last_seq_),
+                     "reserved seq " << seq << " at t=" << at
+                                     << " lies below the last popped event");
+    enqueue(time, seq,
+            typed_slab_.place(&owner, std::forward<E>(event)) | kTypedSlot);
+  }
+
   bool has_events() const { return pending_ != 0; }
   std::size_t pending() const { return pending_; }
 
@@ -161,6 +193,7 @@ class Simulator {
     RTDS_REQUIRE(now >= 0.0);
     now_ = now;
     next_seq_ = next_seq;
+    band_begin_ = band_end_ = next_seq;
     executed_ = executed;
     // The clock may move back; every later key is >= (now, 0).
     last_time_ = time_bits(now);
@@ -207,7 +240,10 @@ class Simulator {
     return time_bits(std::max(at, now_));
   }
   void enqueue(std::uint64_t time, std::uint32_t slot) {
-    push(Entry{time, next_seq_++, slot});
+    enqueue(time, next_seq_++, slot);
+  }
+  void enqueue(std::uint64_t time, std::uint64_t seq, std::uint32_t slot) {
+    push(Entry{time, seq, slot});
     ++pending_;
   }
   static bool earlier(const Entry& a, const Entry& b) {
@@ -359,6 +395,9 @@ class Simulator {
 
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
+  /// The reserved band [band_begin_, band_end_) of post_reserved.
+  std::uint64_t band_begin_ = 0;
+  std::uint64_t band_end_ = 0;
   std::uint64_t executed_ = 0;
   EventObserver observer_ = nullptr;
   void* observer_ctx_ = nullptr;

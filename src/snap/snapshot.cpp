@@ -14,8 +14,10 @@
 // saved one.
 #include "snap/snapshot.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -150,24 +152,40 @@ struct SiteSlot {
   }
 };
 
-/// A pending typed event as one flat record: u8 kind (the Event
-/// alternative index); the slots (small, site, peer, dest, job, task, a,
-/// x, y), zero where the kind reads nothing (a slot written as a typed
-/// zero temporary is read and dropped on load); a job presence flag and
-/// the job; a payload presence flag and the payload.
+/// Event kind bytes. A kind is the Event alternative's index, except that
+/// an arrival is kind 2 in a closed run and 3 in an open one (once two
+/// alternatives), so the alternatives after ev::Arrival are written one
+/// above their index.
+constexpr std::size_t kArrivalIndex = 2;
+static_assert(std::is_same_v<std::variant_alternative_t<kArrivalIndex, Event>,
+                             ev::Arrival>);
+constexpr std::uint8_t kStreamArrivalKind = kArrivalIndex + 1;
+
+/// A pending typed event as one flat record: u8 kind; the slots (small,
+/// site, peer, dest, job, task, a, x, y), zero where the kind reads
+/// nothing (a slot written as a typed zero temporary is read and dropped
+/// on load); a job presence flag and the job; a payload presence flag and
+/// the payload. `streamed` says whether an arrival belongs to an open run:
+/// saving writes it into the kind, loading reads it back.
 template <class Ar>
 void event_io(Ar& ar, Context<Ar>& ctx, std::size_t sites,
-              Ref<Ar, Event> event) {
+              Ref<Ar, Event> event, Ref<Ar, bool> streamed) {
   using u8 = std::uint8_t;
   using u32 = std::uint32_t;
   using u64 = std::uint64_t;
-  auto kind = static_cast<std::uint8_t>(event.index());
+  const std::size_t index = event.index();
+  auto kind = static_cast<std::uint8_t>(
+      index < kArrivalIndex || (index == kArrivalIndex && !streamed)
+          ? index
+          : index + 1);
   field(ar, kind);
   if constexpr (kLoading<Ar>) {
-    if (kind == 0 || kind >= std::variant_size_v<Event>)
+    if (kind == 0 || kind > std::variant_size_v<Event>)
       ar.fail("event kind " + std::to_string(kind) + " out of range");
+    streamed = kind == kStreamArrivalKind;
+    const std::size_t alternative = kind <= kArrivalIndex ? kind : kind - 1u;
     [&]<std::size_t... I>(std::index_sequence<I...>) {
-      ((kind == I ? void(event.template emplace<I>()) : void()), ...);
+      ((alternative == I ? void(event.template emplace<I>()) : void()), ...);
     }(std::make_index_sequence<std::variant_size_v<Event>>{});
   }
   std::visit(
@@ -181,7 +199,6 @@ void event_io(Ar& ar, Context<Ar>& ctx, std::size_t sites,
                  e.fault.a, e.fault.b, u32{}, u64{}, u32{}, u64{}, e.fault.at,
                  0.0);
         } else if constexpr (std::is_same_v<E, ev::Arrival> ||
-                             std::is_same_v<E, ev::StreamArrival> ||
                              std::is_same_v<E, ev::StartNext>) {
           fields(ar, u8{}, site(e.site), u32{}, u32{}, u64{}, u32{}, u64{},
                  0.0, 0.0);
@@ -652,16 +669,37 @@ void Access::io(Ar& ar, Context<Ar>& ctx, Ref<Ar, RtdsSystem> sys) {
     fields(ar, sys.early_failures_, sys.ran_, sys.last_stream_release_);
   });
 
-  // Every pending event's (time, typed event) pair, in execution order.
-  // Loading posts each back in that order: fresh sequence numbers >= the
-  // saved next_seq keep every tie-break, and everything scheduled after
-  // resume draws sequences above them all.
+  // Every pending event's (time, typed event) pair, in execution order:
+  // the queue's events merged with a closed run's not-yet-posted arrivals,
+  // each of which would be queued under its reserved seq had start()
+  // posted them all. Loading reserves one seq per record, in record order
+  // from the saved next_seq, and posts each event under its own, so every
+  // tie-break holds and everything scheduled after resume draws sequences
+  // above them all; closed-run arrivals go back to the arrival cursor.
   section(ar, "events", [&] {
     std::vector<Simulator::PendingEvent> pending;
-    if constexpr (!kLoading<Ar>) pending = sys.sim_.pending_events();
+    std::vector<Event> unposted;
+    if constexpr (!kLoading<Ar>) {
+      pending = sys.sim_.pending_events();
+      const std::size_t queued = pending.size();
+      const auto rest = std::span(sys.closed_).subspan(sys.closed_next_);
+      unposted.reserve(rest.size());  // pending points into it
+      for (const RtdsSystem::ClosedArrival& a : rest) {
+        unposted.push_back(ev::Arrival{a.site, a.job});
+        pending.push_back({RtdsSystem::queued_time(*a.job), a.seq,
+                           &unposted.back()});
+      }
+      std::inplace_merge(
+          pending.begin(), pending.begin() + queued, pending.end(),
+          [](const auto& x, const auto& y) {
+            return x.at < y.at || (x.at == y.at && x.seq < y.seq);
+          });
+    }
     const std::size_t n = count(ar, pending.size(), 8 + 2 + 3 * 4 + 8 + 4 +
                                                         8 + 2 * 8 + 2);
-    for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t seq = 0;
+    if constexpr (kLoading<Ar>) seq = sys.sim_.reserve_seqs(n);
+    for (std::size_t i = 0; i < n; ++i, ++seq) {
       if constexpr (!kLoading<Ar>) {
         const Simulator::PendingEvent& p = pending[i];
         RTDS_REQUIRE_MSG(p.event != nullptr,
@@ -669,15 +707,16 @@ void Access::io(Ar& ar, Context<Ar>& ctx, Ref<Ar, RtdsSystem> sys) {
                              << " is a closure: only typed events "
                                 "(sim/event.hpp) can be checkpointed");
         field(ar, p.at);
-        event_io(ar, ctx, sys.nodes_.size(), *p.event);
+        event_io(ar, ctx, sys.nodes_.size(), *p.event, sys.streamed_);
       } else {
         Time at = 0.0;
         Event event;
+        bool streamed = false;
         field(ar, at);
         if (!time_ge(at, sys.sim_.now()))  // NaN fails too
           ar.fail("pending event at t=" + std::to_string(at) +
                   " before the clock t=" + std::to_string(sys.sim_.now()));
-        event_io(ar, ctx, sys.nodes_.size(), event);
+        event_io(ar, ctx, sys.nodes_.size(), event, streamed);
         const bool ideal = sys.cfg_.transport_model == TransportModel::kIdeal;
         if (std::holds_alternative<ev::Deliver>(event) && !ideal)
           ar.fail("ideal-transport event under a contended config");
@@ -691,14 +730,33 @@ void Access::io(Ar& ar, Context<Ar>& ctx, Ref<Ar, RtdsSystem> sys) {
                                       : f->fault.problem(sys.topo_);
           if (!why.empty()) ar.fail("fault event " + why);
         }
+        if (auto* a = std::get_if<ev::Arrival>(&event)) {
+          if (streamed ? !sys.closed_.empty() : sys.streamed_)
+            ar.fail("snapshot mixes closed-run and streamed arrivals");
+          sys.streamed_ = streamed;
+          if (!streamed) {
+            if (at != RtdsSystem::queued_time(*a->job))
+              ar.fail("closed-run arrival at t=" + std::to_string(at) +
+                      " is not queued at its job's release");
+            if (!sys.closed_.empty() &&
+                at < RtdsSystem::queued_time(*sys.closed_.back().job))
+              ar.fail("closed-run arrivals out of time order");
+            sys.closed_.push_back({std::move(a->job), seq, a->site});
+            continue;
+          }
+        }
         // The message kinds go back to the transport, the rest to the
         // system.
         const bool message = std::visit(
             [](const auto& e) { return requires { e.body; }; }, event);
-        sys.sim_.post_at(
-            at, message ? static_cast<EventOwner&>(*sys.transport_) : sys,
+        sys.sim_.post_reserved(
+            at, seq,
+            message ? static_cast<EventOwner&>(*sys.transport_) : sys,
             std::move(event));
       }
+    }
+    if constexpr (kLoading<Ar>) {
+      if (!sys.closed_.empty()) sys.post_next_arrival();
     }
   });
 }

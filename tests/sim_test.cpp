@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <queue>
+#include <set>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "net/generators.hpp"
+#include "sim/event.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -79,14 +83,69 @@ TEST(Simulator, ZeroDelaySelfScheduleAdvancesQueue) {
   EXPECT_DOUBLE_EQ(sim.now(), 1.0);
 }
 
+// ------------------------------------------------- reserved seq band ----
+
+/// Records the site of every StartNext it runs, in firing order.
+struct SiteLog final : EventOwner {
+  std::vector<SiteId> fired;
+
+ private:
+  void fire(Event& event) override {
+    fired.push_back(std::get<ev::StartNext>(event).site);
+  }
+};
+
+TEST(SimulatorBand, PostOutsideTheReservedBandThrows) {
+  Simulator sim;
+  SiteLog log;
+  EXPECT_THROW(sim.post_reserved(1.0, 0, log, ev::StartNext{0}),
+               ContractViolation);  // no band yet
+  sim.post_at(1.0, log, ev::StartNext{0});  // seq 0
+  EXPECT_EQ(sim.reserve_seqs(3), 1u);
+  EXPECT_EQ(sim.next_seq(), 4u);
+  EXPECT_THROW(sim.post_reserved(1.0, 0, log, ev::StartNext{9}),
+               ContractViolation);
+  EXPECT_THROW(sim.post_reserved(1.0, 4, log, ev::StartNext{9}),
+               ContractViolation);
+  sim.post_reserved(1.0, 3, log, ev::StartNext{3});
+  sim.post_reserved(1.0, 1, log, ev::StartNext{1});
+  sim.post_at(1.0, log, ev::StartNext{4});  // seq 4, after the band
+  // A new band replaces the last one.
+  EXPECT_EQ(sim.reserve_seqs(2), 5u);
+  EXPECT_THROW(sim.post_reserved(1.0, 2, log, ev::StartNext{9}),
+               ContractViolation);
+  sim.post_reserved(1.0, 5, log, ev::StartNext{5});
+  EXPECT_EQ(sim.pending(), 5u);
+  sim.run();
+  EXPECT_EQ(log.fired, (std::vector<SiteId>{0, 1, 3, 4, 5}));
+}
+
+TEST(SimulatorBand, PostBelowTheLastPoppedKeyThrows) {
+  Simulator sim;
+  SiteLog log;
+  const std::uint64_t band = sim.reserve_seqs(4);
+  sim.post_reserved(2.0, band + 2, log, ev::StartNext{2});
+  ASSERT_TRUE(sim.step());  // pops (2.0, band + 2)
+  EXPECT_THROW(sim.post_reserved(2.0, band + 1, log, ev::StartNext{1}),
+               ContractViolation);  // same time, lower seq
+  EXPECT_THROW(sim.post_reserved(1.0, band + 3, log, ev::StartNext{3}),
+               ContractViolation);  // before the clock
+  EXPECT_EQ(sim.pending(), 0u);
+  sim.post_reserved(2.0, band + 3, log, ev::StartNext{3});
+  sim.run();
+  EXPECT_EQ(log.fired, (std::vector<SiteId>{2, 3}));
+}
+
 // ---------------------------------------------------- pop-order property ----
 
 // Mirrors every schedule into a std::priority_queue over (time, seq), the
 // order the simulator promises, and checks each fired event against the
 // reference's top. An event's children are drawn from the model's RNG when
 // it fires, so both sides keep scheduling the same events exactly as long as
-// the execution orders agree.
-class PopOrderModel {
+// the execution orders agree. A band (post_band) models a closed run's
+// arrival cursor: its events enter the reference at once, under seqs
+// reserved then, but reach the simulator one at a time.
+class PopOrderModel final : public EventOwner {
  public:
   PopOrderModel(std::uint64_t seed, std::size_t budget)
       : rng_(seed), budget_(budget) {}
@@ -101,6 +160,26 @@ class PopOrderModel {
     for (std::size_t i = 0; i < count; ++i) post(sim.now() + draw_delay());
   }
 
+  /// `count` events at now + a mixed delay each, under seqs reserved now;
+  /// only the first in (time, seq) order is posted, and each posts the
+  /// next when it fires. The previous band must be fully posted.
+  void post_band(std::size_t count) {
+    if (held_next_ != held_.size()) return diverge("band still open");
+    const std::uint64_t seq = sim.reserve_seqs(count);
+    if (seq != ref_seq_) return diverge("band out of step");
+    held_.clear();
+    held_next_ = 0;
+    for (std::size_t j = 0; j < count; ++j) {
+      held_.push_back(Ref{sim.now() + draw_delay(), seq + j, next_id_++});
+      ref_.push(held_.back());
+    }
+    ref_seq_ += count;
+    std::sort(held_.begin(), held_.end(), [](const Ref& a, const Ref& b) {
+      return Later{}(b, a);
+    });
+    post_held();
+  }
+
   /// Fires an extra bulk batch from inside the event that fires
   /// `trigger`-th.
   void bulk_inside_at(std::size_t trigger, std::size_t count) {
@@ -108,10 +187,17 @@ class PopOrderModel {
     bulk_count_ = count;
   }
 
+  /// The queue plus the band's unposted events, merged in (time, seq)
+  /// order as a snapshot writes them, equals the reference.
   void expect_pending_matches() const {
     const auto ref = ref_contents();
-    const auto got = sim.pending_events();
-    ASSERT_EQ(sim.pending(), ref.size());
+    std::vector<Ref> got;
+    for (const auto& p : sim.pending_events())
+      got.push_back(Ref{p.at, p.seq, 0});
+    ASSERT_EQ(sim.pending(), got.size());
+    got.insert(got.end(), held_.begin() + held_next_, held_.end());
+    std::sort(got.begin(), got.end(),
+              [](const Ref& a, const Ref& b) { return Later{}(b, a); });
     ASSERT_EQ(got.size(), ref.size());
     for (std::size_t i = 0; i < ref.size(); ++i) {
       ASSERT_EQ(got[i].seq, ref[i].seq) << "pending #" << i;
@@ -135,9 +221,37 @@ class PopOrderModel {
     sim.clear_pending();
     EXPECT_FALSE(sim.has_events());
     ref_ = {};
+    held_.clear();
+    held_next_ = 0;
     sim.restore_clock(restore_now, sim.next_seq() + seq_gap, fired_);
     ref_seq_ = sim.next_seq();
     for (const Ref& r : saved) post_id(r.at, r.id);
+  }
+
+  /// The snapshot load: as checkpoint_round_trip, but one band reserves a
+  /// seq per saved event in order and each is posted under its own, except
+  /// the band's events (posted or not), which form the new band.
+  void band_round_trip(Time restore_now, std::uint64_t seq_gap) {
+    const auto saved = ref_contents();
+    std::set<std::uint64_t> band_ids;
+    for (const Ref& r : held_) band_ids.insert(r.id);
+    sim.clear_pending();
+    ref_ = {};
+    held_.clear();
+    held_next_ = 0;
+    sim.restore_clock(restore_now, sim.next_seq() + seq_gap, fired_);
+    std::uint64_t seq = sim.reserve_seqs(saved.size());
+    for (const Ref& r : saved) {
+      const Ref restored{r.at, seq++, r.id};
+      ref_.push(restored);
+      if (band_ids.contains(r.id))
+        held_.push_back(restored);
+      else
+        sim.post_reserved(r.at, restored.seq, *this,
+                          ev::LeaseExpiry{0, r.id});
+    }
+    ref_seq_ = sim.next_seq();
+    post_held();
   }
 
   bool diverged() const { return diverged_; }
@@ -166,6 +280,20 @@ class PopOrderModel {
       case 5: return rng_.uniform(0.0, 1e-3);
       default: return 100.0;
     }
+  }
+
+  /// Posts the band's next event, if any.
+  void post_held() {
+    if (held_next_ == held_.size()) return;
+    const Ref& r = held_[held_next_++];
+    sim.post_reserved(r.at, r.seq, *this, ev::LeaseExpiry{kBand, r.id});
+  }
+
+  /// A typed event: a band event (site kBand) posts the band's next.
+  void fire(Event& event) override {
+    const auto& e = std::get<ev::LeaseExpiry>(event);
+    fire(e.lock_seq);
+    if (e.site == kBand) post_held();
   }
 
   void post_id(Time at, std::uint64_t id) {
@@ -215,6 +343,10 @@ class PopOrderModel {
   std::size_t bulk_trigger_ = 0;
   std::size_t bulk_count_ = 0;
   bool diverged_ = false;
+  static constexpr SiteId kBand = 1;
+  /// The open band in (time, seq) order; the first held_next_ are posted.
+  std::vector<Ref> held_;
+  std::size_t held_next_ = 0;
 };
 
 TEST(SimulatorProperty, PopOrderMatchesPriorityQueueReference) {
@@ -226,6 +358,7 @@ TEST(SimulatorProperty, PopOrderMatchesPriorityQueueReference) {
     m.post(-0.0);
     m.post(5e-324);
     m.post_batch(12'000);  // a bulk load before the first step
+    m.post_band(4'000);     // a closed run's arrivals
     m.bulk_inside_at(20'000, 10'000);
 
     m.sim.run_until(3.0);
@@ -239,12 +372,16 @@ TEST(SimulatorProperty, PopOrderMatchesPriorityQueueReference) {
     m.sim.run_until(cut);
     m.expect_cut_at(cut);
 
-    m.checkpoint_round_trip(m.sim.now(), 17);
+    m.band_round_trip(m.sim.now(), 17);
     m.expect_pending_matches();
     m.sim.run_chunk(3'000);
     // Restore to a clock before the last executed event, then post below it.
     m.checkpoint_round_trip(m.sim.now() / 2, 1);
     m.post_batch(200);
+    m.post_band(300);
+    m.expect_pending_matches();
+    m.sim.run_chunk(100);
+    m.band_round_trip(m.sim.now(), 0);
     m.expect_pending_matches();
 
     m.sim.run();
