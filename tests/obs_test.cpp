@@ -15,14 +15,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <sstream>
 #include <string>
 
+#include "baseline/offload.hpp"
 #include "core/metrics.hpp"
+#include "core/rtds_system.hpp"
+#include "core/workload.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "exp/scenarios.hpp"
 #include "exp/sinks.hpp"
+#include "net/generators.hpp"
 #include "obs/obs.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
@@ -187,6 +192,52 @@ TEST(ObsDeterminism, ObservedMetricsCoverEveryLayer) {
         "net.msg.cat0.sends"})
     category_sends += m.sum(name);
   EXPECT_EQ(category_sends, m.sum("net.sends"));
+}
+
+/// One run's metrics JSONL and trace JSONL, observed under a fresh scope.
+struct ObservedBytes {
+  std::string metrics;
+  std::string trace;
+};
+
+template <class Run>
+ObservedBytes observe(Run run) {
+  obs::MetricsBuffer metrics;
+  obs::TraceRecorder trace;
+  {
+    obs::Scope scope(&metrics, &trace);
+    run();
+  }
+  std::ostringstream mj, tj;
+  metrics.write_jsonl(mj);
+  obs::TraceRecorder::write_jsonl(tj, std::span(&trace, 1));
+  return {mj.str(), tj.str()};
+}
+
+// The reduced E1 above traces only RTDS and BCAST message names; these
+// pin the BID and APSP-exchange ones (bid_request, offer, apsp).
+TEST(ObsDeterminism, BidRunAndApspBringUpDigestsArePinned) {
+  Rng rng(9);
+  const Topology topo = make_grid(4, 4, DelayRange{0.5, 1.5}, rng);
+  WorkloadConfig wl;
+  wl.arrival_rate_per_site = 0.05;
+  wl.horizon = 150.0;
+  wl.seed = 13;
+  const auto arrivals = generate_workload(topo.site_count(), wl);
+
+  const ObservedBytes bid =
+      observe([&] { run_offload(topo, arrivals, OffloadConfig{}); });
+  EXPECT_NE(bid.trace.find("\"bid_request\""), std::string::npos);
+  EXPECT_NE(bid.trace.find("\"offer\""), std::string::npos);
+  EXPECT_EQ(fnv1a(bid.metrics), 13262334014469485424ull);
+  EXPECT_EQ(fnv1a(bid.trace), 14779372278663809514ull);
+
+  SystemConfig cfg;
+  cfg.measure_pcs_build_cost = true;
+  const ObservedBytes bring_up = observe([&] { RtdsSystem system(topo, cfg); });
+  EXPECT_NE(bring_up.trace.find("\"apsp\""), std::string::npos);
+  EXPECT_EQ(fnv1a(bring_up.metrics), 14580576142709152222ull);
+  EXPECT_EQ(fnv1a(bring_up.trace), 15362299809241690300ull);
 }
 
 // --- contract 3: unit semantics ----------------------------------------

@@ -1,10 +1,15 @@
 // Transport-layer tests: ideal vs contended delivery semantics, FIFO
-// ordering and serialization arithmetic on contended links, and the full
+// ordering and serialization arithmetic on contended links, pinned digests
+// of both transports under one fixed-seed fault plan, and the full
 // RTDS system running over the contended transport (including the honest
 // dispatch-failure accounting when the protocol over-estimate is violated).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iomanip>
 #include <map>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 
@@ -189,6 +194,100 @@ TEST(ContendedReversedLinks, DirectionsQueueIndependently) {
   const std::map<std::pair<SiteId, SiteId>, Time> expected = {
       {{1, 0}, 9.0}, {{1, 2}, 3.0}, {{2, 1}, 7.0}};
   EXPECT_EQ(t.busy_links(), expected);
+}
+
+// ------------------------------------------------ faulted delivery pins ----
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Drives the transport `make` builds through one fixed-seed fault plan:
+/// drop, duplication, extra delay and reorder draws on every send,
+/// self-sends mixed with routed ones, sends to sites the (2-phase) tables
+/// hold no route to, and the grid's centre site crashing while messages
+/// to and through it fly. Returns the FNV-1a digest of every landing
+/// (time, from, to, body), every drop-hook call, each send's charged hop
+/// count and the final MessageStats.
+template <class Make>
+std::uint64_t faulted_delivery_digest(Make make) {
+  // 3x3 grid, sites row-major, uneven link delays.
+  Topology topo;
+  for (int i = 0; i < 9; ++i) topo.add_site();
+  for (SiteId s = 0; s < 9; ++s) {
+    if (s % 3 != 2) topo.add_link(s, s + 1, 0.5 + 0.25 * (s % 3));
+    if (s < 6) topo.add_link(s, s + 3, 0.75 + 0.5 * (s % 2));
+  }
+  const auto tables = phased_apsp(topo, 2);  // corner-to-corner: no route
+
+  fault::FaultPlan plan;
+  plan.drop_prob = 0.15;
+  plan.dup_prob = 0.3;
+  plan.extra_delay_max = 0.4;
+  plan.reorder_prob = 0.35;
+  plan.reorder_delay_max = 1.5;
+  plan.seed = 11;
+  plan.events = {
+      fault::FaultEvent{3.0, fault::FaultKind::kSiteDown, 4, kNoSite},
+      fault::FaultEvent{6.5, fault::FaultKind::kSiteUp, 4, kNoSite}};
+  fault::FaultState state(topo, plan);
+
+  Simulator sim;
+  std::unique_ptr<Transport> t = make(sim, topo, tables);
+  std::ostringstream log;
+  log << std::setprecision(17);
+  for (SiteId s = 0; s < topo.site_count(); ++s)
+    t->set_handler(s, [&, s](SiteId from, const MessageBody& payload) {
+      log << "land " << sim.now() << ' ' << from << ' ' << s << ' '
+          << std::get<std::string>(payload) << '\n';
+    });
+  t->set_fault_state(&state, [&](SiteId to, const MessageBody& payload) {
+    log << "drop " << sim.now() << ' ' << to << ' '
+        << std::get<std::string>(payload) << '\n';
+  });
+  for (const auto& e : plan.events)
+    sim.schedule_at(e.at, [&state, e] { state.apply(e); });
+  for (int i = 0; i < 60; ++i) {
+    const SiteId from = static_cast<SiteId>(i * 5 % 9);
+    const SiteId to =
+        i % 5 == 0 ? from : static_cast<SiteId>((from + 1 + i * 7 % 8) % 9);
+    sim.schedule_at(0.2 * i, [&, i, from, to] {
+      const std::size_t hops =
+          t->send(from, to, "m" + std::to_string(i), 1 + i % 7, 0.5 + i % 4);
+      log << "send " << i << ' ' << hops << '\n';
+    });
+  }
+  sim.run();
+
+  const MessageStats& st = t->stats();
+  log << "stats " << st.total_sends << ' ' << st.total_link_messages << ' '
+      << st.messages_dropped << ' ' << st.messages_duplicated << '\n';
+  for (const auto& [category, entry] : st.by_category)
+    log << "cat " << category << ' ' << entry.sends << ' '
+        << entry.link_messages << '\n';
+  return fnv1a(log.str());
+}
+
+TEST(TransportFaults, IdealFaultDrawsAndLandingsArePinned) {
+  EXPECT_EQ(faulted_delivery_digest([](Simulator& sim, const Topology&,
+                                       const std::vector<RoutingTable>& tables) {
+              return std::make_unique<IdealTransport>(sim, tables);
+            }),
+            12783907672230428419ull);
+}
+
+TEST(TransportFaults, ContendedFaultDrawsAndLandingsArePinned) {
+  EXPECT_EQ(faulted_delivery_digest([](Simulator& sim, const Topology& topo,
+                                       const std::vector<RoutingTable>& tables) {
+              return std::make_unique<ContendedTransport>(sim, topo, tables,
+                                                          2.0);
+            }),
+            12771744430140692044ull);
 }
 
 // ------------------------------------------------ system over contended ----
