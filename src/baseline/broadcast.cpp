@@ -25,7 +25,7 @@ class BroadcastDriver {
   BroadcastDriver(const Topology& topo, const BroadcastConfig& cfg)
       : topo_(topo),
         cfg_(cfg),
-        net_(sim_, topo_),
+        net_(sim_, topo_.site_count()),
         alive_(topo.site_count(), 1),
         epoch_(topo.site_count(), 0),
         floods_(topo.site_count()),

@@ -35,7 +35,7 @@ class OffloadDriver {
   OffloadDriver(const Topology& topo, const OffloadConfig& cfg)
       : topo_(topo),
         cfg_(cfg),
-        net_(sim_, topo_),
+        net_(sim_, topo_.site_count()),
         rng_(cfg.seed),
         alive_(topo.site_count(), 1) {
     const auto tables = phased_apsp(topo_, 2 * cfg_.sphere_radius_h);

@@ -5,9 +5,8 @@
 // message type in the tree: the §8–§11 RTDS protocol structs
 // (core/protocol.hpp), the §7.2 APSP table exchange, the two
 // message-passing baselines, and std::string as the tests' debug payload.
-// A send moves the body into its delivery event's slab slot (a typed
-// Deliver, sim/event.hpp, or a SimNetwork closure, sim/event_fn.hpp), so
-// enqueue/deliver does zero heap allocation; bulky immutable data (DAGs,
+// A send moves the body into its typed delivery event's slab slot
+// (sim/event.hpp), so enqueue/deliver does zero heap allocation; bulky immutable data (DAGs,
 // trial mappings, routing-table snapshots) still rides shared_ptr-to-const
 // exactly as before.
 #pragma once

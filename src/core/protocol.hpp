@@ -1,7 +1,7 @@
 // RTDS protocol messages (Figure 1 flow).
 //
 // Payloads travel as MessageBody (a closed variant, core/messages.hpp)
-// through the SimNetwork; immutable bulky data (the job's DAG, the trial
+// through the delivery core (sim/network.hpp); immutable bulky data (the job's DAG, the trial
 // mapping) is shared via shared_ptr-to-const so a broadcast to the ACS does
 // not copy it per member — the simulated network still charges the full
 // per-hop message cost.
@@ -28,6 +28,9 @@ enum MsgCategory : int {
   kMsgDispatchAck = 7,
 };
 
+/// Stable name of any message category in the tree (protocol, baseline
+/// or APSP; "catN" for an unnamed one) — the one name table, kept beside
+/// the accounting in sim/network.cpp. Process-lived.
 const char* msg_category_name(int category);
 
 /// "Not assigned to any logical processor" marker in dispatch messages.

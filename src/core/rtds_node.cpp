@@ -37,19 +37,6 @@ const char* to_string(ShedPolicy policy) {
   return "?";
 }
 
-const char* msg_category_name(int category) {
-  switch (category) {
-    case kMsgEnroll: return "enroll";
-    case kMsgEnrollReply: return "enroll_reply";
-    case kMsgUnlock: return "unlock";
-    case kMsgValidate: return "validate";
-    case kMsgValidateReply: return "validate_reply";
-    case kMsgDispatch: return "dispatch";
-    case kMsgDispatchAck: return "dispatch_ack";
-    default: return "other";
-  }
-}
-
 RtdsNode::RtdsNode(SiteId site, Simulator& sim, Transport& transport, Pcs pcs,
                    RtdsConfig cfg, NodeEnv& env, fault::InjectedBug bug)
     : site_(site),

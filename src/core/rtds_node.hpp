@@ -193,7 +193,7 @@ class RtdsNode {
   /// queues the job if the site is currently locked / already initiating.
   void submit(std::shared_ptr<const Job> job);
 
-  /// Transport entry point; wire this to SimNetwork::set_handler.
+  /// Transport entry point; wire this to Transport::set_handler.
   void on_message(SiteId from, const MessageBody& payload);
 
   /// Fault injection (DESIGN.md §9): the site dies, losing all in-flight

@@ -103,9 +103,7 @@ RtdsSystem::RtdsSystem(Topology topo, SystemConfig cfg)
   if (cfg_.measure_pcs_build_cost) {
     RTDS_OBS_PHASE("sys.pcs_build_cost");
     // Re-run as real messages on a throwaway simulator and reconcile.
-    Simulator build_sim;
-    SimNetwork build_net(build_sim, topo_);
-    const auto dist = distributed_apsp(build_sim, build_net, 2 * h);
+    const auto dist = distributed_apsp(topo_, 2 * h);
     metrics_.pcs_build_messages = dist.messages;
     for (SiteId s = 0; s < topo_.site_count(); ++s) {
       RTDS_CHECK_MSG(dist.tables[s].size() == tables[s].size(),

@@ -5,6 +5,7 @@
 
 #include "fault/fault.hpp"
 #include "obs/obs.hpp"
+#include "sim/network.hpp"
 
 namespace rtds {
 
@@ -440,9 +441,8 @@ struct ApspSite {
 
 }  // namespace
 
-DistributedApspResult distributed_apsp(Simulator& sim, SimNetwork& net,
+DistributedApspResult distributed_apsp(const Topology& topo,
                                        std::size_t phases) {
-  const Topology& topo = net.topology();
   const auto n = topo.site_count();
   DistributedApspResult result;
 
@@ -456,6 +456,8 @@ DistributedApspResult distributed_apsp(Simulator& sim, SimNetwork& net,
     return result;
   }
 
+  Simulator sim;
+  SimNetwork net(sim, n);
   std::size_t finished = 0;
 
   // send_phase(s): broadcast s's current table stamped with its phase.
@@ -465,8 +467,8 @@ DistributedApspResult distributed_apsp(Simulator& sim, SimNetwork& net,
     const auto snapshot = std::make_shared<const RoutingTable>(st.table);
     for (const auto& nb : topo.neighbors(s)) {
       result.route_lines += st.table.size();
-      net.send_adjacent(s, nb.site, ApspTableMsg{st.phase, snapshot},
-                        kApspMessageCategory);
+      net.send_routed(s, nb.site, nb.delay, 1,
+                      ApspTableMsg{st.phase, snapshot}, kApspMessageCategory);
     }
   };
 
@@ -521,13 +523,11 @@ DistributedApspResult distributed_apsp(Simulator& sim, SimNetwork& net,
     });
   }
 
-  const auto before = net.stats().by_category[kApspMessageCategory].link_messages;
   for (SiteId s = 0; s < n; ++s) send_phase(s);
   // Degenerate sites with no neighbours (n == 1) complete immediately.
   for (SiteId s = 0; s < n; ++s) maybe_advance(s);
   sim.run();
-  result.messages =
-      net.stats().by_category[kApspMessageCategory].link_messages - before;
+  result.messages = net.stats().total_link_messages;
 
   RTDS_CHECK_MSG(finished == n, "APSP did not complete on all sites");
   result.tables.reserve(n);

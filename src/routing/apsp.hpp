@@ -12,8 +12,8 @@
 // Two interchangeable engines:
 //  * phased_apsp       — in-memory phase loop (fast path; used by system
 //                        setup and as the oracle in tests);
-//  * distributed_apsp  — runs the same protocol as actual messages over a
-//                        SimNetwork, so the one-time PCS construction cost
+//  * distributed_apsp  — runs the same protocol as actual messages over the
+//                        delivery core, so the one-time PCS construction cost
 //                        (messages, route lines shipped, completion time)
 //                        can be measured (rtds --set measure_pcs_build=true,
 //                        example traces).
@@ -26,8 +26,8 @@
 #include <vector>
 
 #include "fault/bugs.hpp"
+#include "net/topology.hpp"
 #include "routing/routing_table.hpp"
-#include "sim/network.hpp"
 
 namespace rtds {
 
@@ -98,14 +98,14 @@ struct DistributedApspResult {
   Time completion_time = 0.0;      ///< sim time when the last site finished
 };
 
-/// Message category used by the APSP exchange on the shared SimNetwork.
+/// Message category of the APSP exchange's table messages.
 inline constexpr int kApspMessageCategory = 100;
 
-/// Runs the same protocol as real messages over `net` (which must wrap the
-/// same topology). Each site advances to phase p+1 once it has received all
-/// neighbour tables stamped with phase p — the §7.2 logical-phase
-/// organization of an otherwise asynchronous exchange.
-DistributedApspResult distributed_apsp(Simulator& sim, SimNetwork& net,
+/// Runs the same protocol as real one-hop messages over `topo`, on a
+/// simulator and delivery core of its own. Each site advances to phase p+1
+/// once it has received all neighbour tables stamped with phase p — the
+/// §7.2 logical-phase organization of an otherwise asynchronous exchange.
+DistributedApspResult distributed_apsp(const Topology& topo,
                                        std::size_t phases);
 
 }  // namespace rtds

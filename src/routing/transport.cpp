@@ -4,91 +4,44 @@
 #include <utility>
 
 #include "fault/fault.hpp"
-#include "obs/trace.hpp"
 
 namespace rtds {
+
+// ----------------------------------------------------------- transport ----
+
+Transport::Transport(Simulator& sim, const std::vector<RoutingTable>& tables)
+    : SimNetwork(sim, tables.size()), tables_(tables) {}
+
+const RouteLine* Transport::route(SiteId from, SiteId to,
+                                  const MessageBody& payload, int category) {
+  RTDS_REQUIRE(from < tables_.size());
+  RTDS_REQUIRE(to < tables_.size());
+  const RouteLine* line = tables_[from].find(to);
+  if (faults_ != nullptr && line == nullptr) {
+    stats().record(category, 0);
+    drop(to, payload);
+    return nullptr;
+  }
+  RTDS_REQUIRE_MSG(line != nullptr, "no route " << from << " -> " << to);
+  return line;
+}
 
 // --------------------------------------------------------------- ideal ----
 
 IdealTransport::IdealTransport(Simulator& sim,
                                const std::vector<RoutingTable>& tables)
-    : sim_(sim), tables_(tables), handlers_(tables.size()) {}
-
-void IdealTransport::set_handler(SiteId site, Handler handler) {
-  RTDS_REQUIRE(site < handlers_.size());
-  RTDS_REQUIRE(handler != nullptr);
-  handlers_[site] = std::move(handler);
-}
-
-void IdealTransport::set_fault_state(fault::FaultState* faults,
-                                     DropHook on_drop) {
-  faults_ = faults;
-  on_drop_ = std::move(on_drop);
-}
-
-void IdealTransport::drop(SiteId to, const MessageBody& payload) {
-  ++stats_.messages_dropped;
-  RTDS_COUNT("net.dropped");
-  if (on_drop_) on_drop_(to, payload);
-}
-
-void IdealTransport::fire(Event& event) {
-  if (auto* self = std::get_if<ev::SelfDeliver>(&event)) {
-    RTDS_CHECK(handlers_[self->to] != nullptr);
-    handlers_[self->to](self->from, self->body);
-    return;
-  }
-  auto& d = std::get<ev::Deliver>(event);
-  if (faults_ != nullptr && !faults_->site_up(d.to)) {
-    drop(d.to, d.body);
-    return;
-  }
-  RTDS_CHECK(handlers_[d.to] != nullptr);
-  handlers_[d.to](d.from, d.body);
-}
+    : Transport(sim, tables) {}
 
 std::size_t IdealTransport::send(SiteId from, SiteId to, MessageBody payload,
                                  int category, double size_units) {
-  RTDS_REQUIRE(from < handlers_.size());
-  RTDS_REQUIRE(to < handlers_.size());
   RTDS_REQUIRE(size_units >= 0.0);
   if (from == to) {
-    stats_.record(category, 0);
-    sim_.post_in(0.0, *this, ev::SelfDeliver{from, to, std::move(payload)});
+    send_routed(from, to, 0.0, 0, std::move(payload), category);
     return 0;
   }
-  const RouteLine* line = tables_[from].find(to);
-  if (faults_ != nullptr && line == nullptr) {
-    // Topology repair left no live path (the destination's component is
-    // unreachable right now). The send is lost like any other fault loss.
-    stats_.record(category, 0);
-    drop(to, payload);
-    return 0;
-  }
-  RTDS_REQUIRE_MSG(line != nullptr, "no route " << from << " -> " << to);
-  stats_.record(category, line->hops);
-  if (auto* tr = obs::tracer())
-    tr->instant("net", msg_category_name(category), sim_.now(), from, to,
-                line->hops);
-  Time delay = line->dist;
-  if (faults_ != nullptr) {
-    if (faults_->sample_drop()) {
-      drop(to, payload);
-      return line->hops;
-    }
-    // Fixed draw order per send: drop, dup, then per-copy perturbations
-    // (extra delay, reorder jitter) — same contract as SimNetwork.
-    const bool dup = faults_->sample_duplicate();
-    delay += faults_->sample_extra_delay() + faults_->sample_reorder_delay();
-    if (dup) {
-      ++stats_.messages_duplicated;
-      RTDS_COUNT("net.duplicated");
-      const Time dup_delay = line->dist + faults_->sample_extra_delay() +
-                             faults_->sample_reorder_delay();
-      sim_.post_in(dup_delay, *this, ev::Deliver{from, to, payload});
-    }
-  }
-  sim_.post_in(delay, *this, ev::Deliver{from, to, std::move(payload)});
+  const RouteLine* line = route(from, to, payload, category);
+  if (line == nullptr) return 0;
+  send_routed(from, to, line->dist, line->hops, std::move(payload), category);
   return line->hops;
 }
 
@@ -97,110 +50,52 @@ std::size_t IdealTransport::send(SiteId from, SiteId to, MessageBody payload,
 ContendedTransport::ContendedTransport(Simulator& sim, const Topology& topo,
                                        const std::vector<RoutingTable>& tables,
                                        double bandwidth)
-    : sim_(sim),
-      topo_(topo),
-      tables_(tables),
-      bandwidth_(bandwidth),
-      handlers_(topo.site_count()) {
+    : Transport(sim, tables), topo_(topo), bandwidth_(bandwidth) {
   RTDS_REQUIRE_MSG(bandwidth > 0.0, "contended transport needs bandwidth > 0");
 }
 
-void ContendedTransport::set_handler(SiteId site, Handler handler) {
-  RTDS_REQUIRE(site < handlers_.size());
-  RTDS_REQUIRE(handler != nullptr);
-  handlers_[site] = std::move(handler);
-}
-
-void ContendedTransport::set_fault_state(fault::FaultState* faults,
-                                         DropHook on_drop) {
-  faults_ = faults;
-  on_drop_ = std::move(on_drop);
-}
-
-void ContendedTransport::drop(SiteId to, const MessageBody& payload) {
-  ++stats_.messages_dropped;
-  RTDS_COUNT("net.dropped");
-  if (on_drop_) on_drop_(to, payload);
-}
-
 void ContendedTransport::fire(Event& event) {
-  if (auto* self = std::get_if<ev::SelfDeliver>(&event)) {
-    RTDS_CHECK(handlers_[self->to] != nullptr);
-    handlers_[self->to](self->from, self->body);
-  } else if (auto* inject = std::get_if<ev::ContendedInject>(&event)) {
+  if (auto* inject = std::get_if<ev::ContendedInject>(&event)) {
     hop(inject->from, inject->from, inject->to, std::move(inject->body),
         inject->size_units);
+  } else if (auto* h = std::get_if<ev::ContendedHop>(&event)) {
+    hop(h->origin, h->cur, h->dest, std::move(h->body), h->size_units);
   } else {
-    auto& h = std::get<ev::ContendedHop>(event);
-    hop(h.origin, h.cur, h.dest, std::move(h.body), h.size_units);
+    SimNetwork::fire(event);
   }
 }
 
 std::size_t ContendedTransport::send(SiteId from, SiteId to, MessageBody payload,
                                      int category, double size_units) {
-  RTDS_REQUIRE(from < handlers_.size());
-  RTDS_REQUIRE(to < handlers_.size());
   RTDS_REQUIRE(size_units >= 0.0);
   if (from == to) {
-    stats_.record(category, 0);
-    sim_.post_in(0.0, *this, ev::SelfDeliver{from, to, std::move(payload)});
+    send_routed(from, to, 0.0, 0, std::move(payload), category);
     return 0;
   }
-  const RouteLine* line = tables_[from].find(to);
-  if (faults_ != nullptr && line == nullptr) {
-    stats_.record(category, 0);
-    drop(to, payload);
-    return 0;
-  }
-  RTDS_REQUIRE_MSG(line != nullptr, "no route " << from << " -> " << to);
-  const auto hops = line->hops;
-  stats_.record(category, hops);
-  if (auto* tr = obs::tracer())
-    tr->instant("net", msg_category_name(category), sim_.now(), from, to,
-                hops);
+  const RouteLine* line = route(from, to, payload, category);
+  if (line == nullptr) return 0;
+  count_routed(from, to, line->hops, category);
   auto shared = std::make_shared<const MessageBody>(std::move(payload));
-  if (faults_ != nullptr) {
-    if (faults_->sample_drop()) {
-      drop(to, *shared);
-      return hops;
-    }
-    // The store-and-forward chain already models queueing; the plan's
-    // extra delay (and reorder jitter) perturbs the injection instant
-    // instead of each hop. Draw order matches SimNetwork: drop, dup, then
-    // per-copy perturbations.
-    const bool dup = faults_->sample_duplicate();
-    const Time extra =
-        faults_->sample_extra_delay() + faults_->sample_reorder_delay();
-    if (dup) {
-      ++stats_.messages_duplicated;
-      RTDS_COUNT("net.duplicated");
-      const Time dup_extra =
-          faults_->sample_extra_delay() + faults_->sample_reorder_delay();
-      sim_.post_in(dup_extra, *this,
-                   ev::ContendedInject{from, to, size_units, shared});
-    }
-    if (extra > 0.0) {
+  // The store-and-forward chain already models queueing; the plan's extra
+  // delay (and reorder jitter) perturbs the injection instant instead of
+  // each hop. Handlers receive the *logical* sender, threaded through the
+  // whole hop chain as its origin.
+  post_copies(to, 0.0, *shared, [&](Time extra, bool duplicate) {
+    if (duplicate || extra > 0.0)
       sim_.post_in(extra, *this,
-                   ev::ContendedInject{from, to, size_units, std::move(shared)});
-      return hops;
-    }
-  }
-  // Handlers receive the *logical* sender, threaded through the whole
-  // hop chain as its origin.
-  hop(from, from, to, std::move(shared), size_units);
-  return hops;
+                   ev::ContendedInject{from, to, size_units,
+                                       duplicate ? shared : std::move(shared)});
+    else
+      hop(from, from, to, std::move(shared), size_units);
+  });
+  return line->hops;
 }
 
 void ContendedTransport::hop(SiteId origin, SiteId cur, SiteId to,
                              std::shared_ptr<const MessageBody> payload,
                              double size_units) {
   if (cur == to) {
-    if (faults_ != nullptr && !faults_->site_up(to)) {
-      drop(to, *payload);
-      return;
-    }
-    RTDS_CHECK(handlers_[to] != nullptr);
-    handlers_[to](origin, *payload);
+    land(origin, to, *payload);
     return;
   }
   const RouteLine* line = tables_[cur].find(to);

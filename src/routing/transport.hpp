@@ -15,12 +15,12 @@
 //                         propagation. Links stay loss-less and
 //                         order-preserving (§2) — they just have capacity.
 //
-// Both run on the shared Simulator and use the §7 routing tables, so every
-// transport decision uses exactly the knowledge the distributed algorithm
-// actually built.
+// Both are built on the delivery core (sim/network.hpp), which charges,
+// fault-draws and lands every message, and use the §7 routing tables, so
+// every transport decision uses exactly the knowledge the distributed
+// algorithm actually built.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -36,27 +36,12 @@ struct Access;
 
 namespace rtds {
 
-/// Each transport owns the events its sends post (sim/event.hpp): the
-/// delivery kinds, and the contended hop chain.
-class Transport : public EventOwner {
+/// Each transport is a delivery core (sim/network.hpp) that routes: it
+/// owns the events its sends post (sim/event.hpp) — the core's delivery
+/// kinds, and the contended hop chain.
+class Transport : public SimNetwork {
  public:
-  using Handler = std::function<void(SiteId from, const MessageBody& payload)>;
-  /// Invoked whenever a send is lost to injected faults, with the intended
-  /// destination and the undelivered payload (the system layer inspects
-  /// lost dispatches to mark their jobs failed).
-  using DropHook = std::function<void(SiteId to, const MessageBody& payload)>;
-
   virtual ~Transport() = default;
-
-  virtual void set_handler(SiteId site, Handler handler) = 0;
-
-  /// Installs a fault view plus drop notification (nullptr = faultless,
-  /// the default). With faults installed, sends consult site/link/route
-  /// liveness and the plan's drop/extra-delay perturbations; a lost send
-  /// still counts its link messages but also increments
-  /// MessageStats::messages_dropped and fires `on_drop`.
-  virtual void set_fault_state(fault::FaultState* faults,
-                               DropHook on_drop) = 0;
 
   /// Sends `payload` from `from` to `to` (self-sends deliver immediately
   /// and are free). `size_units` models the message volume (task codes are
@@ -64,38 +49,29 @@ class Transport : public EventOwner {
   virtual std::size_t send(SiteId from, SiteId to, MessageBody payload,
                            int category, double size_units) = 0;
 
-  virtual const MessageStats& stats() const = 0;
-};
-
-/// Infinite-bandwidth minimum-delay delivery (the paper's base model).
-class IdealTransport final : public Transport {
- public:
+ protected:
   /// `tables` must outlive the transport and cover every pair the protocol
   /// will use (the 2h-phase tables cover all intra-sphere pairs).
+  Transport(Simulator& sim, const std::vector<RoutingTable>& tables);
+
+  /// The route line from `from` to a distinct site `to`, or nullptr when
+  /// faults are installed and the tables hold no live path (topology
+  /// repair left the destination's component unreachable): the send is
+  /// then charged no link messages and lost like any other fault loss.
+  const RouteLine* route(SiteId from, SiteId to, const MessageBody& payload,
+                         int category);
+
+  const std::vector<RoutingTable>& tables_;
+};
+
+/// Infinite-bandwidth minimum-delay delivery (the paper's base model): the
+/// core's routed send along the table's route.
+class IdealTransport final : public Transport {
+ public:
   IdealTransport(Simulator& sim, const std::vector<RoutingTable>& tables);
 
-  void set_handler(SiteId site, Handler handler) override;
-  void set_fault_state(fault::FaultState* faults, DropHook on_drop) override;
   std::size_t send(SiteId from, SiteId to, MessageBody payload, int category,
                    double size_units) override;
-  const MessageStats& stats() const override { return stats_; }
-
- private:
-  /// Runs a SelfDeliver (no liveness check: a site is always reachable
-  /// from itself) or a Deliver (the destination must be up when the
-  /// message lands, not merely when it was sent; duplicated copies land
-  /// the same way).
-  void fire(Event& event) override;
-  void drop(SiteId to, const MessageBody& payload);
-
-  friend struct snap::Access;
-
-  Simulator& sim_;
-  const std::vector<RoutingTable>& tables_;
-  std::vector<Handler> handlers_;
-  MessageStats stats_;
-  fault::FaultState* faults_ = nullptr;
-  DropHook on_drop_;
 };
 
 /// Store-and-forward with per-directed-link FIFO queues and finite
@@ -107,11 +83,8 @@ class ContendedTransport final : public Transport {
                      const std::vector<RoutingTable>& tables,
                      double bandwidth);
 
-  void set_handler(SiteId site, Handler handler) override;
-  void set_fault_state(fault::FaultState* faults, DropHook on_drop) override;
   std::size_t send(SiteId from, SiteId to, MessageBody payload, int category,
                    double size_units) override;
-  const MessageStats& stats() const override { return stats_; }
 
   /// Peak queueing delay any single hop has experienced so far (observability
   /// for tests/benches: how badly the ideal model's assumption was violated).
@@ -126,12 +99,11 @@ class ContendedTransport final : public Transport {
   /// >= 0, so max(now, kIdleLink) == now and the queueing is unchanged.
   static constexpr Time kIdleLink = -1.0;
 
-  /// Runs a SelfDeliver, a ContendedInject (the chain starts at the
-  /// origin) or a ContendedHop.
+  /// Runs a ContendedInject (the chain starts at the origin) or a
+  /// ContendedHop; the core runs the rest.
   void fire(Event& event) override;
-  void drop(SiteId to, const MessageBody& payload);
-  /// The message of `origin` has reached `cur` on its way to `to`: deliver
-  /// it there, or queue it on the next link of the path.
+  /// The message of `origin` has reached `cur` on its way to `to`: land it
+  /// there, or queue it on the next link of the path.
   void hop(SiteId origin, SiteId cur, SiteId to,
            std::shared_ptr<const MessageBody> payload, double size_units);
   /// The busy-until slot of the direction from `from` over its adjacency
@@ -140,19 +112,13 @@ class ContendedTransport final : public Transport {
 
   friend struct snap::Access;
 
-  Simulator& sim_;
   const Topology& topo_;
-  const std::vector<RoutingTable>& tables_;
   double bandwidth_;
-  std::vector<Handler> handlers_;
   /// Busy-until time per directed link: slot 2 · Neighbor::link +
   /// (from > to), kIdleLink until first crossed. Empty until the first hop,
   /// so constructing a transport allocates nothing per link.
   std::vector<Time> link_busy_until_;
-  MessageStats stats_;
   Time max_queueing_delay_ = 0.0;
-  fault::FaultState* faults_ = nullptr;
-  DropHook on_drop_;
 };
 
 }  // namespace rtds

@@ -4,12 +4,14 @@
 // Every event the RTDS protocol schedules is one alternative of Event: its
 // kind plus only the fields that kind reads. The simulator stores the
 // value in its queue and, when it fires, hands it back to the EventOwner
-// that posted it (RtdsSystem for node, fault and arrival kinds, the
-// transports for their delivery and hop kinds), which runs it through one
-// visit. Because the pending events are data, a checkpoint writes them
-// straight from the queue and a restore posts the decoded values back —
-// no closure ever has to be rebuilt. Closures (Simulator::schedule_at)
-// remain for baselines, tests and benchmarks; a checkpoint refuses them.
+// that posted it (RtdsSystem for node, fault and arrival kinds; the
+// delivery core, sim/network.hpp, for the delivery kinds of every message
+// in the tree; the contended transport built on it for its hop chain),
+// which runs it through one visit. Because the pending events are data, a
+// checkpoint writes them straight from the queue and a restore posts the
+// decoded values back — no closure ever has to be rebuilt. Closures
+// (Simulator::schedule_at) remain for the baselines' arrival, fault and
+// timer events, tests and benchmarks; a checkpoint refuses them.
 //
 // The alternative index is the event kind byte of the snapshot format,
 // except that an arrival is kind 2 in a closed run and 3 in an open one,
@@ -71,13 +73,13 @@ struct StartNext {
   SiteId site;
 };
 
-// --- transports ---
+// --- the delivery core (SimNetwork) and the contended transport ---
 struct SelfDeliver {  ///< self-send: the handler runs, no liveness check
   SiteId from;
   SiteId to;
   MessageBody body;
 };
-struct Deliver {  ///< IdealTransport: liveness checked when it lands
+struct Deliver {  ///< routed send: liveness checked when it lands
   SiteId from;
   SiteId to;
   MessageBody body;

@@ -9,11 +9,13 @@
 //
 //  * SmallEventFn (16-byte buffer, 24-byte object) — timers and "this plus
 //    a word or two" closures, packed nearly three per cache line;
-//  * EventFn (96-byte buffer) — sized so SimNetwork's delivery closures
-//    (receiver state + a full MessageBody) fit inline.
+//  * EventFn (96-byte buffer) — every larger closure: the baselines'
+//    arrival, fault and completion closures, tests and benchmarks. Its
+//    slot size also bounds the typed event slot (Simulator::Posted).
 //
-// The RTDS path posts typed events instead (sim/event.hpp); closures serve
-// the baselines, tests and benchmarks. Destruction and invocation go
+// Messages and the RTDS path post typed events instead (sim/event.hpp);
+// closures serve the baselines' own arrival, fault and timer events, tests
+// and benchmarks. Destruction and invocation go
 // through a per-type ops table (one static per callable type, no RTTI, no
 // virtual dispatch).
 #pragma once

@@ -4,40 +4,53 @@
 #include <string>
 #include <utility>
 
-#include "fault/fault.hpp"
 #include "obs/trace.hpp"
 
 namespace rtds {
 
 namespace {
 
-/// Stable obs name for every category in the tree's closed set (see the
-/// MessageStats comment: protocol 1–6, baselines 11–23, APSP 100).
-/// msg_category_name only covers the protocol six; the baseline and APSP
-/// constants are TU-local by design, so the accounting choke point names
-/// them here. Unknown categories degrade to "catN", never fail.
-std::string obs_category_name(int category) {
-  switch (category) {
-    case 1: return "enroll";
-    case 2: return "enroll_reply";
-    case 3: return "unlock";
-    case 4: return "validate";
-    case 5: return "validate_reply";
-    case 6: return "dispatch";
-    case 7: return "dispatch_ack";
-    case 11: return "bid_request";
-    case 12: return "bid_reply";
-    case 13: return "offer";
-    case 14: return "offer_reply";
-    case 21: return "surplus_flood";
-    case 22: return "focused_offer";
-    case 23: return "focused_reply";
-    case 100: return "apsp";
-    default: return "cat" + std::to_string(category);
-  }
+/// The one table of message-category names, over the tree's closed set
+/// (see the MessageStats comment): the protocol's MsgCategory values, the
+/// baselines' and the APSP exchange's. Unknown categories read "catN".
+/// Built once, so the trace and metric names are process-lived.
+const auto& category_names() {
+  static const auto names = [] {
+    std::array<std::string, MessageStats::CategoryCounters::kCapacity> t;
+    for (int c = 0; c < MessageStats::CategoryCounters::kCapacity; ++c) {
+      const char* name = nullptr;
+      switch (c) {
+        case kMsgEnroll: name = "enroll"; break;
+        case kMsgEnrollReply: name = "enroll_reply"; break;
+        case kMsgUnlock: name = "unlock"; break;
+        case kMsgValidate: name = "validate"; break;
+        case kMsgValidateReply: name = "validate_reply"; break;
+        case kMsgDispatch: name = "dispatch"; break;
+        case kMsgDispatchAck: name = "dispatch_ack"; break;
+        case 11: name = "bid_request"; break;
+        case 12: name = "bid_reply"; break;
+        case 13: name = "offer"; break;
+        case 14: name = "offer_reply"; break;
+        case 21: name = "surplus_flood"; break;
+        case 22: name = "focused_offer"; break;
+        case 23: name = "focused_reply"; break;
+        case 100: name = "apsp"; break;
+      }
+      t[static_cast<std::size_t>(c)] =
+          name != nullptr ? name : "cat" + std::to_string(c);
+    }
+    return t;
+  }();
+  return names;
 }
 
 }  // namespace
+
+const char* msg_category_name(int category) {
+  if (category < 0 || category >= MessageStats::CategoryCounters::kCapacity)
+    return "cat?";
+  return category_names()[static_cast<std::size_t>(category)].c_str();
+}
 
 #if RTDS_OBS_ENABLED
 void obs_count_message(int category, std::uint64_t hops) {
@@ -50,7 +63,7 @@ void obs_count_message(int category, std::uint64_t hops) {
     std::array<Ids, MessageStats::CategoryCounters::kCapacity> t;
     auto& reg = obs::Registry::instance();
     for (int c = 0; c < MessageStats::CategoryCounters::kCapacity; ++c) {
-      const std::string base = "net.msg." + obs_category_name(c);
+      const std::string base = std::string("net.msg.") + msg_category_name(c);
       t[static_cast<std::size_t>(c)] = {reg.counter(base + ".sends"),
                                         reg.counter(base + ".link_messages")};
     }
@@ -74,27 +87,8 @@ void obs_count_message(int category, std::uint64_t hops) {
 void obs_count_message(int, std::uint64_t) {}
 #endif
 
-namespace {
-
-/// Trace-name table for message instants: tracer events store the name
-/// pointer, so the strings must be process-lived, not per-event.
-const char* obs_category_cstr(int category) {
-  static const auto& table = *[] {
-    auto* t = new std::array<std::string,
-                             MessageStats::CategoryCounters::kCapacity>();
-    for (int c = 0; c < MessageStats::CategoryCounters::kCapacity; ++c)
-      (*t)[static_cast<std::size_t>(c)] = obs_category_name(c);
-    return t;
-  }();
-  if (category >= 0 && category < MessageStats::CategoryCounters::kCapacity)
-    return table[static_cast<std::size_t>(category)].c_str();
-  return "cat?";
-}
-
-}  // namespace
-
-SimNetwork::SimNetwork(Simulator& sim, const Topology& topo)
-    : sim_(sim), topo_(topo), handlers_(topo.site_count()) {}
+SimNetwork::SimNetwork(Simulator& sim, std::size_t site_count)
+    : sim_(sim), handlers_(site_count) {}
 
 void SimNetwork::set_handler(SiteId site, Handler handler) {
   RTDS_REQUIRE(site < handlers_.size());
@@ -102,19 +96,9 @@ void SimNetwork::set_handler(SiteId site, Handler handler) {
   handlers_[site] = std::move(handler);
 }
 
-void SimNetwork::send_adjacent(SiteId from, SiteId to, MessageBody payload,
-                               int category) {
-  RTDS_REQUIRE_MSG(topo_.adjacent(from, to),
-                   "send_adjacent requires a link " << from << "--" << to);
-  stats_.record(category, 1);
-  if (auto* tr = obs::tracer())
-    tr->instant("net", obs_category_cstr(category), sim_.now(), from, to, 1);
-  if (faults_ != nullptr && !faults_->link_up(from, to)) {
-    ++stats_.messages_dropped;
-    RTDS_COUNT("net.dropped");
-    return;
-  }
-  deliver(from, to, topo_.link_delay(from, to), std::move(payload));
+void SimNetwork::set_fault_state(fault::FaultState* faults, DropHook on_drop) {
+  faults_ = faults;
+  on_drop_ = std::move(on_drop);
 }
 
 void SimNetwork::send_routed(SiteId from, SiteId to, Time path_delay,
@@ -124,12 +108,17 @@ void SimNetwork::send_routed(SiteId from, SiteId to, Time path_delay,
   RTDS_REQUIRE(to < handlers_.size());
   if (from == to) {
     stats_.record(category, 0);
-    deliver(from, to, 0.0, std::move(payload));
+    sim_.post_in(0.0, *this, ev::SelfDeliver{from, to, std::move(payload)});
     return;
   }
   RTDS_REQUIRE(path_delay >= 0.0);
   count_routed(from, to, hops, category);
-  deliver(from, to, path_delay, std::move(payload));
+  post_copies(to, path_delay, payload, [&](Time delay, bool duplicate) {
+    sim_.post_in(delay, *this,
+                 ev::Deliver{from, to,
+                             duplicate ? MessageBody(payload)
+                                       : std::move(payload)});
+  });
 }
 
 void SimNetwork::count_routed(SiteId from, SiteId to, std::size_t hops,
@@ -137,60 +126,33 @@ void SimNetwork::count_routed(SiteId from, SiteId to, std::size_t hops,
   RTDS_REQUIRE_MSG(hops >= 1, "multi-site route needs >= 1 hop");
   stats_.record(category, hops);
   if (auto* tr = obs::tracer())
-    tr->instant("net", obs_category_cstr(category), sim_.now(), from, to,
+    tr->instant("net", msg_category_name(category), sim_.now(), from, to,
                 hops);
 }
 
-void SimNetwork::send_local(SiteId site, Time delay, MessageBody payload,
-                            int category) {
-  RTDS_REQUIRE(site < handlers_.size());
-  RTDS_REQUIRE(delay >= 0.0);
-  stats_.record(category, 0);
-  deliver(site, site, delay, std::move(payload));
+void SimNetwork::drop(SiteId to, const MessageBody& payload) {
+  ++stats_.messages_dropped;
+  RTDS_COUNT("net.dropped");
+  if (on_drop_) on_drop_(to, payload);
 }
 
-void SimNetwork::deliver(SiteId from, SiteId to, Time delay,
-                         MessageBody payload) {
-  if (faults_ != nullptr) {
-    if (faults_->sample_drop()) {
-      ++stats_.messages_dropped;
-      RTDS_COUNT("net.dropped");
-      return;
-    }
-    // Fixed draw order per send — drop, dup, then per-copy (extra delay,
-    // reorder jitter) — so enabling one fault process never shifts the
-    // stream another process reads.
-    const Time base = delay;
-    const bool dup = faults_->sample_duplicate();
-    delay += faults_->sample_extra_delay() + faults_->sample_reorder_delay();
-    if (dup) {
-      ++stats_.messages_duplicated;
-      RTDS_COUNT("net.duplicated");
-      const Time dup_delay = base + faults_->sample_extra_delay() +
-                             faults_->sample_reorder_delay();
-      schedule_delivery(from, to, dup_delay, MessageBody(payload));
-    }
+void SimNetwork::land(SiteId from, SiteId to, const MessageBody& payload) {
+  if (faults_ != nullptr && from != to && !faults_->site_up(to)) {
+    drop(to, payload);
+    return;
   }
-  schedule_delivery(from, to, delay, std::move(payload));
+  RTDS_CHECK_MSG(handlers_[to] != nullptr,
+                 "no handler registered for site " << to);
+  handlers_[to](from, payload);
 }
 
-void SimNetwork::schedule_delivery(SiteId from, SiteId to, Time delay,
-                                   MessageBody payload) {
-  auto fire = [this, from, to, p = std::move(payload)]() {
-    // Arrival-time fault check: the destination must be up when the
-    // message lands, not merely when it was sent.
-    if (faults_ != nullptr && !faults_->site_up(to)) {
-      ++stats_.messages_dropped;
-      RTDS_COUNT("net.dropped");
-      return;
-    }
-    RTDS_CHECK_MSG(handlers_[to] != nullptr,
-                   "no handler registered for site " << to);
-    handlers_[to](from, p);
-  };
-  static_assert(EventFn::stores_inline<decltype(fire)>(),
-                "delivery closure must fit EventFn's inline buffer");
-  sim_.schedule_in(delay, std::move(fire));
+void SimNetwork::fire(Event& event) {
+  if (const auto* d = std::get_if<ev::Deliver>(&event)) {
+    land(d->from, d->to, d->body);
+  } else {
+    const auto& self = std::get<ev::SelfDeliver>(event);
+    land(self.from, self.to, self.body);
+  }
 }
 
 }  // namespace rtds

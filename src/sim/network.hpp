@@ -1,20 +1,31 @@
-// Message transport over the simulated topology.
+// The delivery core: the one rule for charging and delivering a message
+// between sites.
 //
-// Two delivery primitives match the two communication patterns in the
-// paper:
-//  * send_adjacent — one physical link hop (used by the distributed
-//    Bellman–Ford flooding during PCS construction, §7);
-//  * send_routed — a logical end-to-end send along an already-discovered
-//    minimum-delay path inside a sphere (enrollment, trial-mapping
-//    broadcast, validation replies, dispatch; §§8–11). It arrives after the
-//    path delay and is charged `hops` link-messages, so message accounting
-//    reflects real link usage, which is what the paper's "limited number of
-//    communication links" claim is about.
+// Every message in the tree goes through SimNetwork: the BID/RANDOM/BCAST
+// baselines and the distributed APSP exchange use it directly, and both
+// RTDS transports (routing/transport.hpp) are built on it. It owns
+//  * the per-site handler table;
+//  * MessageStats, recorded with its trace instant at send time;
+//  * the fault view and its drop hook;
+//  * the per-send fault draws, in one order: drop, duplicate, then extra
+//    delay + reorder jitter per copy;
+//  * the free self-send;
+//  * the landing check: the destination must be up when a message lands.
+//
+// send_routed is a logical end-to-end send along an already-discovered
+// minimum-delay path inside a sphere (enrollment, trial-mapping
+// broadcast, validation replies, dispatch; §§8–11), or across one physical
+// link (the distributed Bellman–Ford flooding of §7, hops = 1). It arrives
+// after the path delay and is charged `hops` link-messages, so message
+// accounting reflects real link usage, which is what the paper's "limited
+// number of communication links" claim is about.
 //
 // Payloads are MessageBody — a closed variant over every protocol struct
-// (core/messages.hpp) — so a send moves the body straight into the
-// delivery event's inline storage: no heap allocation per message. Every
-// send carries a small integer category for per-message-type accounting.
+// (core/messages.hpp) — so a send moves the body straight into a typed
+// delivery event (ev::SelfDeliver / ev::Deliver, sim/event.hpp) that the
+// core runs as its EventOwner: no closure and no heap allocation per
+// message. Every send carries a small integer category for
+// per-message-type accounting.
 #pragma once
 
 #include <array>
@@ -24,14 +35,11 @@
 #include <vector>
 
 #include "core/messages.hpp"
+#include "fault/fault.hpp"
 #include "net/topology.hpp"
 #include "obs/obs.hpp"
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
-
-namespace rtds::fault {
-class FaultState;
-}
 
 namespace rtds {
 
@@ -43,7 +51,7 @@ namespace rtds {
 void obs_count_message(int category, std::uint64_t hops);
 
 /// Per-category message counters. Categories are small dense integers
-/// (protocol 1–6, baselines 11–23, APSP 100), so the table is a flat
+/// (protocol 1–7, baselines 11–23, APSP 100), so the table is a flat
 /// array indexed by category — the per-send increment is two adds, not a
 /// std::map walk. `by_category` keeps the map-shaped read API (at /
 /// count / iteration over recorded categories, ascending).
@@ -152,65 +160,93 @@ struct MessageStats {
 };
 
 /// Delivers typed messages between sites with simulated delays.
-class SimNetwork {
+class SimNetwork : public EventOwner {
  public:
   /// (from, payload) -> handled by the receiving site's handler.
   using Handler = std::function<void(SiteId from, const MessageBody& payload)>;
+  /// Invoked whenever a send is lost to injected faults, with the intended
+  /// destination and the undelivered payload (the system layer inspects
+  /// lost dispatches to mark their jobs failed).
+  using DropHook = std::function<void(SiteId to, const MessageBody& payload)>;
 
-  SimNetwork(Simulator& sim, const Topology& topo);
-
-  const Topology& topology() const { return topo_; }
-  Simulator& simulator() { return sim_; }
+  SimNetwork(Simulator& sim, std::size_t site_count);
 
   /// Registers the receive callback for a site (exactly once per site).
   void set_handler(SiteId site, Handler handler);
 
-  /// Sends one hop across an existing physical link; arrives after the link
-  /// delay. Charged 1 link-message.
-  void send_adjacent(SiteId from, SiteId to, MessageBody payload,
-                     int category = 0);
+  /// Installs a fault view plus drop notification (nullptr = faultless,
+  /// the default). With faults installed every routed send draws the drop
+  /// coin, the duplication coin and per-copy extra delay and reorder
+  /// jitter at send time, and a message is lost when its destination is
+  /// down as it lands. A lost send still counts its link messages (the
+  /// traffic was emitted), increments MessageStats::messages_dropped and
+  /// fires `on_drop`; a duplicated send delivers twice and increments
+  /// MessageStats::messages_duplicated.
+  void set_fault_state(fault::FaultState* faults, DropHook on_drop = nullptr);
 
-  /// Sends along a known multi-hop route: arrives after `path_delay`,
-  /// charged `hops` link-messages. The caller (protocol layer) supplies the
-  /// delay/hops it learned during PCS construction; hops must be >= 1 for
-  /// distinct sites.
+  /// Sends along a known route: arrives after `path_delay`, charged `hops`
+  /// link-messages. The caller supplies the delay/hops it learned during
+  /// PCS construction; hops must be >= 1 for distinct sites. A self-send
+  /// (from == to) is free, lands at once and draws no faults.
   void send_routed(SiteId from, SiteId to, Time path_delay, std::size_t hops,
                    MessageBody payload, int category = 0);
 
   /// send_routed's accounting without the delivery (hops >= 1): for a
-  /// caller that applies the message's effect itself (the BCAST flood).
+  /// caller that applies the message's effect itself (the BCAST flood) or
+  /// delivers it its own way (the contended hop chain).
   void count_routed(SiteId from, SiteId to, std::size_t hops, int category);
-
-  /// Local self-delivery after `delay` (e.g. mapper compute time). Charged
-  /// zero link-messages.
-  void send_local(SiteId site, Time delay, MessageBody payload,
-                  int category = 0);
-
-  /// Installs a fault view (nullptr = faultless, the default). With faults
-  /// installed every send consults it: the drop coin, duplication coin,
-  /// extra delay and reorder jitter are sampled at send time, adjacency
-  /// additionally requires the link up at send time, and delivery is
-  /// suppressed when the destination is down at arrival time. Dropped
-  /// sends still count their link messages (the traffic was emitted) and
-  /// increment MessageStats::messages_dropped; a duplicated send delivers
-  /// twice and increments MessageStats::messages_duplicated.
-  void set_fault_state(fault::FaultState* faults) { faults_ = faults; }
 
   MessageStats& stats() { return stats_; }
   const MessageStats& stats() const { return stats_; }
 
- private:
-  void deliver(SiteId from, SiteId to, Time delay, MessageBody payload);
-  /// Enqueues one delivery event at `delay` (deliver() may call it twice
-  /// for a duplicated send, each copy with its own sampled jitter).
-  void schedule_delivery(SiteId from, SiteId to, Time delay,
-                         MessageBody payload);
+ protected:
+  /// Counts a send lost to injected faults and fires the drop hook.
+  void drop(SiteId to, const MessageBody& payload);
+
+  /// Draws one send's faults in the fixed order — drop, duplicate, then
+  /// (extra delay, reorder jitter) per copy — so enabling one fault
+  /// process never shifts the stream another reads. A lost send is
+  /// dropped; otherwise post_copy(delay, duplicate) runs once per copy,
+  /// the duplicate first, `delay` being the base delay plus that copy's
+  /// perturbation.
+  template <class PostCopy>
+  void post_copies(SiteId to, Time delay, const MessageBody& payload,
+                   PostCopy&& post_copy);
+
+  /// Hands a message that reached `to` to its handler, unless faults have
+  /// `to` down as it lands. A site always reaches itself.
+  void land(SiteId from, SiteId to, const MessageBody& payload);
+
+  /// Runs a SelfDeliver or a Deliver: the message lands.
+  void fire(Event& event) override;
 
   Simulator& sim_;
-  const Topology& topo_;
+  fault::FaultState* faults_ = nullptr;
+
+ private:
   std::vector<Handler> handlers_;
   MessageStats stats_;
-  fault::FaultState* faults_ = nullptr;
+  DropHook on_drop_;
 };
+
+template <class PostCopy>
+void SimNetwork::post_copies(SiteId to, Time delay, const MessageBody& payload,
+                             PostCopy&& post_copy) {
+  if (faults_ == nullptr) return post_copy(delay, false);
+  if (faults_->sample_drop()) return drop(to, payload);
+  const bool dup = faults_->sample_duplicate();
+  Time jitter = faults_->sample_extra_delay();
+  jitter += faults_->sample_reorder_delay();
+  if (dup) {
+    ++stats_.messages_duplicated;
+    RTDS_COUNT("net.duplicated");
+    // The duplicate adds its draws one at a time, the original their sum:
+    // the two round differently, and every faulted run's bytes follow.
+    Time dup_delay = delay + faults_->sample_extra_delay();
+    dup_delay += faults_->sample_reorder_delay();
+    post_copy(dup_delay, true);
+  }
+  post_copy(delay + jitter, false);
+}
 
 }  // namespace rtds

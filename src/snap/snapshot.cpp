@@ -638,10 +638,10 @@ void Access::io(Ar& ar, Context<Ar>& ctx, Ref<Ar, RtdsSystem> sys) {
     agreed(ar, static_cast<std::uint8_t>(model),
            "snapshot transport model does not match this config");
     if (model == TransportModel::kIdeal) {
-      field(ar, static_cast<IdealTransport&>(*sys.transport_).stats_);
+      field(ar, sys.transport_->stats());
     } else {
       auto& t = static_cast<ContendedTransport&>(*sys.transport_);
-      fields(ar, t.stats_, t.max_queueing_delay_);
+      fields(ar, t.stats(), t.max_queueing_delay_);
       // The flat per-link table travels as its (from, to) -> busy-until
       // map of crossed directions, ascending.
       auto busy = t.busy_links();

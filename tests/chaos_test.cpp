@@ -184,7 +184,7 @@ TEST(FaultStatePartition, CutDownsCrossLinksHealRestoresOnlyTheCut) {
 TEST(SimNetworkFaults, DuplicationDeliversTwiceAndCountsOnce) {
   const Topology topo = line3();
   Simulator sim;
-  SimNetwork net(sim, topo);
+  SimNetwork net(sim, topo.site_count());
   FaultPlan plan;
   plan.dup_prob = 1.0;  // every send duplicated, deterministically
   FaultState state(topo, plan);
@@ -193,7 +193,7 @@ TEST(SimNetworkFaults, DuplicationDeliversTwiceAndCountsOnce) {
   for (SiteId s = 0; s < 3; ++s)
     net.set_handler(s, [&](SiteId, const MessageBody&) { ++delivered; });
 
-  net.send_adjacent(0, 1, std::string("twice"), 1);
+  net.send_routed(0, 1, topo.link_delay(0, 1), 1, std::string("twice"), 1);
   sim.run();
   EXPECT_EQ(delivered, 2);
   EXPECT_EQ(net.stats().messages_duplicated, 1u);

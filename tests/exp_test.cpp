@@ -87,7 +87,7 @@ TEST(Grid, ExpansionCounts) {
     ++calls;
     return inner(p, seed, ctx);
   };
-  const auto rows = run_scenario(counted, RunOptions{4, 0});
+  const auto rows = run_scenario(counted, RunOptions{.jobs = 4});
   EXPECT_EQ(calls.load(), 24);
   ASSERT_EQ(rows.size(), 6u);
   for (const auto& row : rows) {
@@ -101,9 +101,9 @@ TEST(Grid, ExpansionCounts) {
 
 TEST(Runner, ParallelMatchesSerialSynthetic) {
   const ScenarioSpec spec = synthetic_spec();
-  const auto serial = run_scenario(spec, RunOptions{1, 0});
+  const auto serial = run_scenario(spec, RunOptions{.jobs = 1});
   for (const std::size_t jobs : {2u, 4u, 16u}) {
-    const auto parallel = run_scenario(spec, RunOptions{jobs, 0});
+    const auto parallel = run_scenario(spec, RunOptions{.jobs = jobs});
     EXPECT_TRUE(aggregates_identical(serial, parallel))
         << "jobs=" << jobs << " aggregates diverged from serial";
   }
@@ -154,11 +154,11 @@ TEST(Runner, SameSeedBitIdenticalMetrics) {
 
 TEST(Runner, ParallelMatchesSerialRealSystem) {
   const ScenarioSpec spec = small_rtds_spec();
-  const auto serial = run_scenario(spec, RunOptions{1, 0});
-  const auto parallel = run_scenario(spec, RunOptions{8, 0});
+  const auto serial = run_scenario(spec, RunOptions{.jobs = 1});
+  const auto parallel = run_scenario(spec, RunOptions{.jobs = 8});
   EXPECT_TRUE(aggregates_identical(serial, parallel));
   // And the run itself is reproducible end to end.
-  const auto again = run_scenario(spec, RunOptions{8, 0});
+  const auto again = run_scenario(spec, RunOptions{.jobs = 8});
   EXPECT_TRUE(aggregates_identical(parallel, again));
 }
 
@@ -168,7 +168,7 @@ TEST(Runner, SkippedMetricsLeaveCountShort) {
                   const RunContext&) -> TrialResult {
     return {p.value(0), std::numeric_limits<double>::quiet_NaN()};
   };
-  const auto rows = run_scenario(spec, RunOptions{2, 0});
+  const auto rows = run_scenario(spec, RunOptions{.jobs = 2});
   for (const auto& row : rows) {
     EXPECT_EQ(row.cells[0].stat.count(), 4u);
     EXPECT_EQ(row.cells[1].stat.count(), 0u);
@@ -182,8 +182,8 @@ TEST(Runner, TrialExceptionsPropagate) {
     RTDS_REQUIRE_MSG(p.index != 3, "boom");
     return {0.0, 0.0};
   };
-  EXPECT_THROW(run_scenario(spec, RunOptions{4, 0}), ContractViolation);
-  EXPECT_THROW(run_scenario(spec, RunOptions{1, 0}), ContractViolation);
+  EXPECT_THROW(run_scenario(spec, RunOptions{.jobs = 4}), ContractViolation);
+  EXPECT_THROW(run_scenario(spec, RunOptions{.jobs = 1}), ContractViolation);
 }
 
 // The duration override changes what duration-aware trials compute, so a
@@ -236,7 +236,7 @@ void expect_records_match(const ScenarioSpec& spec,
 
 TEST(Sinks, CsvRoundTrip) {
   const ScenarioSpec spec = synthetic_spec();
-  const auto rows = run_scenario(spec, RunOptions{4, 0});
+  const auto rows = run_scenario(spec, RunOptions{.jobs = 4});
   std::stringstream io;
   CsvSink().write(spec, rows, io);
   expect_records_match(spec, rows, parse_csv(io));
@@ -244,7 +244,7 @@ TEST(Sinks, CsvRoundTrip) {
 
 TEST(Sinks, JsonlRoundTrip) {
   const ScenarioSpec spec = synthetic_spec();
-  const auto rows = run_scenario(spec, RunOptions{4, 0});
+  const auto rows = run_scenario(spec, RunOptions{.jobs = 4});
   std::stringstream io;
   JsonlSink().write(spec, rows, io);
   expect_records_match(spec, rows, parse_jsonl(io));
@@ -257,7 +257,7 @@ TEST(Sinks, JsonlEscapesAwkwardStrings) {
   spec.name = "weird\\";
   spec.axes = {GridAxis::labeled("a", "a", {"x\"y", "tail\\"}),
                spec.axes[1]};
-  const auto rows = run_scenario(spec, RunOptions{1, 0});
+  const auto rows = run_scenario(spec, RunOptions{.jobs = 1});
   std::stringstream io;
   JsonlSink().write(spec, rows, io);
   const auto records = parse_jsonl(io);
@@ -277,7 +277,7 @@ TEST(Sinks, NanMetricsRenderAsMissing) {
                   const RunContext&) -> TrialResult {
     return {p.value(0), std::numeric_limits<double>::quiet_NaN()};
   };
-  const auto rows = run_scenario(spec, RunOptions{1, 0});
+  const auto rows = run_scenario(spec, RunOptions{.jobs = 1});
   std::ostringstream table;
   TableSink().write(spec, rows, table);
   EXPECT_NE(table.str().find('-'), std::string::npos);

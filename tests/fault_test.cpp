@@ -128,7 +128,7 @@ TEST(FaultState, TracksSiteAndLinkLiveness) {
 TEST(SimNetworkFaults, DeliveryToDeadSiteIsDropped) {
   const Topology topo = line3();
   Simulator sim;
-  SimNetwork net(sim, topo);
+  SimNetwork net(sim, topo.site_count());
   FaultPlan plan;
   plan.events = {FaultEvent{0.5, FaultKind::kSiteDown, 1, kNoSite}};
   FaultState state(topo, plan);
@@ -137,7 +137,8 @@ TEST(SimNetworkFaults, DeliveryToDeadSiteIsDropped) {
   for (SiteId s = 0; s < 3; ++s)
     net.set_handler(s, [&](SiteId, const MessageBody&) { ++delivered; });
 
-  net.send_adjacent(0, 1, std::string("in flight"), 1);  // arrives at t=1.0
+  net.send_routed(0, 1, topo.link_delay(0, 1), 1, std::string("in flight"),
+                  1);  // arrives at t=1.0
   sim.schedule_at(0.5, [&]() {
     state.apply(plan.events[0]);  // site 1 dies while the message flies
   });

@@ -123,9 +123,7 @@ TEST_P(DistributedApspMatches, AgreesWithInMemoryPhases) {
   const Topology topo = make_net(shape, 12, DelayRange{1.0, 3.0}, rng);
   const auto mem = phased_apsp(topo, phases);
 
-  Simulator sim;
-  SimNetwork net(sim, topo);
-  const auto dist = distributed_apsp(sim, net, phases);
+  const auto dist = distributed_apsp(topo, phases);
   ASSERT_EQ(dist.tables.size(), mem.size());
   EXPECT_GT(dist.messages, 0u);
   EXPECT_GT(dist.route_lines, 0u);
@@ -157,10 +155,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(DistributedApsp, MessageCountIsPhasesTimesDirectedLinks) {
   Rng rng(6);
   const Topology topo = make_ring(8, DelayRange{1.0, 1.0}, rng);
-  Simulator sim;
-  SimNetwork net(sim, topo);
   const std::size_t phases = 4;
-  const auto res = distributed_apsp(sim, net, phases);
+  const auto res = distributed_apsp(topo, phases);
   // Every site sends its table to every neighbour once per phase.
   EXPECT_EQ(res.messages, phases * 2 * topo.link_count());
 }

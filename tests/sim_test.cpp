@@ -405,7 +405,7 @@ struct Recorded {
 class NetworkFixture : public ::testing::Test {
  protected:
   NetworkFixture() : rng_(1), topo_(make_line(3, DelayRange{2.0, 2.0}, rng_)),
-                     net_(sim_, topo_) {
+                     net_(sim_, topo_.site_count()) {
     for (SiteId s = 0; s < topo_.site_count(); ++s) {
       net_.set_handler(s, [this, s](SiteId from, const MessageBody& payload) {
         received_.push_back(Recorded{s, from,
@@ -422,8 +422,8 @@ class NetworkFixture : public ::testing::Test {
   std::vector<Recorded> received_;
 };
 
-TEST_F(NetworkFixture, AdjacentDeliveryAfterLinkDelay) {
-  net_.send_adjacent(0, 1, std::string("hello"), 1);
+TEST_F(NetworkFixture, OneHopDeliveryAfterLinkDelay) {
+  net_.send_routed(0, 1, topo_.link_delay(0, 1), 1, std::string("hello"), 1);
   sim_.run();
   ASSERT_EQ(received_.size(), 1u);
   EXPECT_EQ(received_[0].to, 1u);
@@ -434,8 +434,9 @@ TEST_F(NetworkFixture, AdjacentDeliveryAfterLinkDelay) {
   EXPECT_EQ(net_.stats().by_category.at(1).sends, 1u);
 }
 
-TEST_F(NetworkFixture, NonAdjacentSendRejected) {
-  EXPECT_THROW(net_.send_adjacent(0, 2, std::string("x")), ContractViolation);
+TEST_F(NetworkFixture, ZeroHopRouteBetweenSitesRejected) {
+  EXPECT_THROW(net_.send_routed(0, 2, 4.0, 0, std::string("x")),
+               ContractViolation);
 }
 
 TEST_F(NetworkFixture, RoutedDeliveryChargesHops) {
@@ -456,19 +457,11 @@ TEST_F(NetworkFixture, SelfRoutedIsFree) {
   EXPECT_EQ(net_.stats().total_sends, 1u);
 }
 
-TEST_F(NetworkFixture, LocalDeliveryAfterDelay) {
-  net_.send_local(2, 1.5, std::string("timer"));
-  sim_.run();
-  ASSERT_EQ(received_.size(), 1u);
-  EXPECT_DOUBLE_EQ(received_[0].at, 1.5);
-  EXPECT_EQ(net_.stats().total_link_messages, 0u);
-}
-
 TEST_F(NetworkFixture, OrderPreservingPerLink) {
   // §2: links are order-preserving — equal-delay messages on the same link
   // arrive in send order (guaranteed by the stable event queue).
   for (int i = 0; i < 5; ++i)
-    net_.send_adjacent(0, 1, std::string(1, char('a' + i)));
+    net_.send_routed(0, 1, 2.0, 1, std::string(1, char('a' + i)));
   sim_.run();
   ASSERT_EQ(received_.size(), 5u);
   for (int i = 0; i < 5; ++i)
@@ -476,8 +469,8 @@ TEST_F(NetworkFixture, OrderPreservingPerLink) {
 }
 
 TEST_F(NetworkFixture, StatsAccumulateAcrossCategories) {
-  net_.send_adjacent(0, 1, std::string("a"), 1);
-  net_.send_adjacent(1, 2, std::string("b"), 2);
+  net_.send_routed(0, 1, 2.0, 1, std::string("a"), 1);
+  net_.send_routed(1, 2, 2.0, 1, std::string("b"), 2);
   net_.send_routed(0, 2, 4.0, 2, std::string("c"), 2);
   sim_.run();
   EXPECT_EQ(net_.stats().total_sends, 3u);
