@@ -6,9 +6,9 @@
 // (core/protocol.hpp), the §7.2 APSP table exchange, the two
 // message-passing baselines, and std::string as the tests' debug payload.
 // A send moves the body into its typed delivery event's slab slot
-// (sim/event.hpp), so enqueue/deliver does zero heap allocation; bulky immutable data (DAGs,
-// trial mappings, routing-table snapshots) still rides shared_ptr-to-const
-// exactly as before.
+// (sim/event.hpp), so enqueue/deliver does zero heap allocation; bulky
+// immutable data (DAGs, trial mappings, routing-table snapshots) still
+// rides shared_ptr-to-const exactly as before.
 #pragma once
 
 #include <cstdint>

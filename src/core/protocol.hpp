@@ -1,10 +1,10 @@
 // RTDS protocol messages (Figure 1 flow).
 //
 // Payloads travel as MessageBody (a closed variant, core/messages.hpp)
-// through the delivery core (sim/network.hpp); immutable bulky data (the job's DAG, the trial
-// mapping) is shared via shared_ptr-to-const so a broadcast to the ACS does
-// not copy it per member — the simulated network still charges the full
-// per-hop message cost.
+// through the delivery core (sim/network.hpp); immutable bulky data (the
+// job's DAG, the trial mapping) is shared via shared_ptr-to-const so a
+// broadcast to the ACS does not copy it per member — the simulated network
+// still charges the full per-hop message cost.
 #pragma once
 
 #include <cstdint>

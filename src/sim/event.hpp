@@ -1,8 +1,9 @@
 // Typed simulator events: the RTDS path's events as plain data
 // (DESIGN.md §7, §14).
 //
-// Every event the RTDS protocol schedules is one alternative of Event: its
-// kind plus only the fields that kind reads. The simulator stores the
+// Every event the RTDS protocol schedules, and every message delivery in
+// the tree, is one alternative of Event: its kind plus only the fields that
+// kind reads. The simulator stores the
 // value in its queue and, when it fires, hands it back to the EventOwner
 // that posted it (RtdsSystem for node, fault and arrival kinds; the
 // delivery core, sim/network.hpp, for the delivery kinds of every message

@@ -13,11 +13,9 @@
 //    arrival, fault and completion closures, tests and benchmarks. Its
 //    slot size also bounds the typed event slot (Simulator::Posted).
 //
-// Messages and the RTDS path post typed events instead (sim/event.hpp);
-// closures serve the baselines' own arrival, fault and timer events, tests
-// and benchmarks. Destruction and invocation go
-// through a per-type ops table (one static per callable type, no RTTI, no
-// virtual dispatch).
+// Messages and the RTDS path post typed events instead (sim/event.hpp).
+// Destruction and invocation go through a per-type ops table (one static
+// per callable type, no RTTI, no virtual dispatch).
 #pragma once
 
 #include <cstddef>

@@ -170,6 +170,9 @@ class SimNetwork : public EventOwner {
   using DropHook = std::function<void(SiteId to, const MessageBody& payload)>;
 
   SimNetwork(Simulator& sim, std::size_t site_count);
+  /// Pending delivery events point at their core.
+  SimNetwork(const SimNetwork&) = delete;
+  SimNetwork& operator=(const SimNetwork&) = delete;
 
   /// Registers the receive callback for a site (exactly once per site).
   void set_handler(SiteId site, Handler handler);
