@@ -299,11 +299,11 @@ TEST(Broadcast, FloodTieOrderIsPinned) {
   EXPECT_EQ(fnv1a(os.str()), 6419653840732274883ull) << os.str();
 }
 
-// BID and RANDOM know a committed job's completion at commit: the local
-// list schedule fixes every task end. A crash of the job's site loses it if
-// any task is still pending, and crash events are scheduled before every
-// commit, so a task ending exactly at the crash instant is pending (the
-// same (time, seq) rule as above). Integer link delays, task costs and
+// BID, RANDOM and BCAST know a committed job's completion at commit: the
+// local list schedule fixes every task end. A crash of the job's site loses
+// it if any task is still pending, and crash events are scheduled before
+// every commit, so a task ending exactly at the crash instant is pending
+// (the same (time, seq) rule as above). Integer link delays, task costs and
 // releases make every task end an exact double, so the scripted crashes
 // land on some of them; the digests pin the RunMetrics this tie rule
 // produces. They were recorded when each task end was still a simulated
@@ -357,6 +357,16 @@ TEST(Offload, CrashAtCompletionInstantIsPinned) {
     m.to_jsonl(os);
     EXPECT_EQ(fnv1a(os.str()), digest) << os.str();
   }
+
+  BroadcastConfig bcast;
+  bcast.faults = cfg.faults;
+  const RunMetrics m = run_broadcast(topo, arrivals, bcast);
+  EXPECT_EQ(m.arrived, arrivals.size());
+  EXPECT_GT(m.accepted_remote, 0u);
+  EXPECT_GT(m.jobs_lost, 0u);
+  std::ostringstream os;
+  m.to_jsonl(os);
+  EXPECT_EQ(fnv1a(os.str()), 12507193380351799188ull) << os.str();
 }
 
 // CENTRAL tries each arrival against the live site plans and takes the
