@@ -20,6 +20,10 @@
 // copy that landed strictly before the reading instant; a recovery skips
 // the copies that landed while the site was down. That is what the event
 // queue's (time, seq) order would have delivered (DESIGN.md §9).
+//
+// It runs on BaselineDriver (baseline/driver.hpp), as BID does: faults and
+// arrivals are typed events, a site's flood tick is its ev::StartNext, and a
+// committed job's completion is fixed at commit.
 #pragma once
 
 #include <vector>

@@ -8,20 +8,19 @@
 // commits or refuses. RANDOM replaces bid collection with a single uniform
 // random pick. Neither partitions the DAG across sites — that is exactly
 // the capability RTDS adds.
+//
+// Both run on BaselineDriver (baseline/driver.hpp), shared with BCAST: it
+// posts their faults and arrivals as typed events and fixes each committed
+// job's completion at commit.
 #pragma once
 
-#include <map>
-#include <memory>
+#include <cstdint>
 #include <vector>
 
 #include "core/metrics.hpp"
 #include "core/workload.hpp"
 #include "fault/fault.hpp"
-#include "routing/apsp.hpp"
-#include "routing/pcs.hpp"
 #include "sched/local_scheduler.hpp"
-#include "sim/network.hpp"
-#include "util/rng.hpp"
 
 namespace rtds {
 

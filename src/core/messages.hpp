@@ -25,14 +25,15 @@ namespace rtds {
 /// immediate neighbours during the interrupted APSP build. The snapshot
 /// rides shared_ptr-to-const like the other bulky immutable payloads: one
 /// phase-start copy is shared by every neighbour send of that phase, and
-/// the message stays small enough for the delivery closure's inline
-/// buffer now that RoutingTable carries its sphere-local slot map.
+/// the message stays small enough to ride by value in a Deliver event now
+/// that RoutingTable carries its sphere-local slot map.
 struct ApspTableMsg {
   std::size_t phase = 0;
   std::shared_ptr<const RoutingTable> table;
 };
 
-// --- baseline/offload.cpp (sphere-limited bid/offer negotiation) ---
+// --- baselines: BID's bids (baseline/offload.cpp) and the whole-DAG offer
+// BID, RANDOM and BCAST make (baseline/driver.cpp) ---
 
 struct BidRequest {
   JobId job = 0;
@@ -50,17 +51,6 @@ struct OfferReply {
   bool accepted = false;
 };
 
-// --- baseline/broadcast.cpp (periodic flooding + focused addressing) ---
-
-struct FocusedOffer {
-  JobId job = 0;
-  std::shared_ptr<const Job> job_data;
-};
-struct FocusedReply {
-  JobId job = 0;
-  bool accepted = false;
-};
-
 using MessageBody =
     std::variant<std::monostate,
                  // RTDS protocol (§8–§11, + §12 hardening ack)
@@ -69,8 +59,7 @@ using MessageBody =
                  // routing (§7.2)
                  ApspTableMsg,
                  // baselines
-                 BidRequest, BidReply, OfferMsg, OfferReply, FocusedOffer,
-                 FocusedReply,
+                 BidRequest, BidReply, OfferMsg, OfferReply,
                  // tests / debug
                  std::string>;
 

@@ -1,18 +1,22 @@
-// Typed simulator events: the RTDS path's events as plain data
+// Typed simulator events: every event the library posts, as plain data
 // (DESIGN.md §7, §14).
 //
-// Every event the RTDS protocol schedules, and every message delivery in
-// the tree, is one alternative of Event: its kind plus only the fields that
-// kind reads. The simulator stores the
-// value in its queue and, when it fires, hands it back to the EventOwner
-// that posted it (RtdsSystem for node, fault and arrival kinds; the
-// delivery core, sim/network.hpp, for the delivery kinds of every message
-// in the tree; the contended transport built on it for its hop chain),
-// which runs it through one visit. Because the pending events are data, a
-// checkpoint writes them straight from the queue and a restore posts the
-// decoded values back — no closure ever has to be rebuilt. Closures
-// (Simulator::schedule_at) remain for the baselines' arrival, fault and
-// timer events, tests and benchmarks; a checkpoint refuses them.
+// Each event the RTDS protocol and the simulated baselines schedule, and
+// every message delivery in the tree, is one alternative of Event: its kind
+// plus only the fields that kind reads. The simulator stores the value in
+// its queue and, when it fires, hands it back to the EventOwner that posted
+// it (RtdsSystem for node, fault and arrival kinds; the baseline driver,
+// baseline/driver.hpp, for BID's, RANDOM's and BCAST's; the delivery core,
+// sim/network.hpp, for the delivery kinds of every message in the tree; the
+// contended transport built on it for its hop chain), which runs it through
+// one visit. Because the pending events are data, a checkpoint writes them
+// straight from the queue and a restore posts the decoded values back — no
+// closure ever has to be rebuilt. Closures (Simulator::schedule_at) remain
+// only for tests and benchmarks; a checkpoint refuses them.
+//
+// The baselines reuse kinds: ev::Fault is a site crash or recovery,
+// ev::Arrival an arrival, ev::StartNext BCAST's flood tick. No baseline run
+// is checkpointed, so the snapshot fields stay the RTDS ones.
 //
 // The alternative index is the event kind byte of the snapshot format,
 // except that an arrival is kind 2 in a closed run and 3 in an open one,
@@ -30,7 +34,7 @@
 namespace rtds {
 namespace ev {
 
-// --- RtdsSystem ---
+// --- RtdsSystem (and the baseline driver) ---
 struct Fault {  ///< apply_fault
   fault::FaultEvent fault;
 };
@@ -70,7 +74,7 @@ struct LeaseExpiry {
   SiteId site;
   std::uint64_t lock_seq;
 };
-struct StartNext {
+struct StartNext {  ///< the next step of a per-site loop
   SiteId site;
 };
 

@@ -5,10 +5,10 @@
 // reproducible bit-for-bit from its inputs. This is the substrate standing
 // in for the paper's physical "arbitrary wide network" testbed.
 //
-// The queue is allocation-free in steady state. An event is either a
-// closure (EventFn, small-buffer-optimized, see event_fn.hpp) or a typed
-// event (sim/event.hpp) returned to the EventOwner that posted it; each
-// lives in a slab of fixed-size slots recycled through a free list, and
+// The queue is allocation-free in steady state. An event is a typed event
+// (sim/event.hpp), returned to the EventOwner that posted it, or — for
+// tests and benchmarks only — a closure (EventFn, sim/event_fn.hpp). Each
+// has its own slab of fixed-size slots recycled through a free list, and
 // the priority structure holds only 24-byte POD entries (time bits, seq,
 // slot).
 //
@@ -57,23 +57,18 @@ class Simulator {
   Time now() const { return now_; }
 
   /// Schedules `fn` at absolute time `at` (>= now). The callable is
-  /// constructed directly in a slot of the size-class slab its capture
-  /// needs — no temporary, no relocation, no allocation.
+  /// constructed directly in a closure slot — no temporary, no relocation,
+  /// and no allocation unless its capture outgrows EventFn's buffer.
   template <typename F,
             typename = std::enable_if_t<
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   void schedule_at(Time at, F&& fn) {
     const std::uint64_t time = key_time(at);
-    if constexpr (SmallEventFn::stores_inline<F>())
-      enqueue(time, small_slab_.place(std::forward<F>(fn)));
-    else
-      enqueue(time, big_slab_.place(std::forward<F>(fn)) | kBigSlot);
+    enqueue(time, closure_slab_.place(std::forward<F>(fn)));
   }
 
   /// Schedules `fn` after a non-negative delay.
-  template <typename F,
-            typename = std::enable_if_t<
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
+  template <typename F>
   void schedule_in(Time delay, F&& fn) {
     schedule_at(now_ + delay, std::forward<F>(fn));
   }
@@ -375,22 +370,19 @@ class Simulator {
     EventOwner* owner;
     Event event;
   };
-  static_assert(sizeof(Posted) <= sizeof(EventFn),
-                "a typed event slot may not outgrow a closure slot");
+  static_assert(sizeof(Posted) <= 88,
+                "a typed event slot may not grow past owner + 80-byte Event");
 
-  /// Entry::slot tag in the top two bits: which slab holds the event.
-  static constexpr unsigned kTagShift = 30;
-  static constexpr std::uint32_t kBigSlot = 1u << kTagShift;
-  static constexpr std::uint32_t kTypedSlot = 2u << kTagShift;
-  static constexpr std::uint32_t kIdMask = kBigSlot - 1;
+  /// Entry::slot tag in the top bit: a typed event, else a closure.
+  static constexpr std::uint32_t kTypedSlot = 1u << 31;
+  static constexpr std::uint32_t kIdMask = kTypedSlot - 1;
 
   /// Calls f(slab, id) for the slab and id a tagged slot names.
   template <typename F>
   void with_slot(std::uint32_t slot, F&& f) {
     const std::uint32_t id = slot & kIdMask;
     if (slot & kTypedSlot) f(typed_slab_, id);
-    else if (slot & kBigSlot) f(big_slab_, id);
-    else f(small_slab_, id);
+    else f(closure_slab_, id);
   }
 
   Time now_ = 0.0;
@@ -419,8 +411,7 @@ class Simulator {
     return a;
   }
 
-  Slab<SmallEventFn> small_slab_;
-  Slab<EventFn> big_slab_;
+  Slab<EventFn> closure_slab_;
   Slab<Posted> typed_slab_;
 };
 

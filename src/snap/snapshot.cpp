@@ -67,9 +67,9 @@ void column(Ar& ar, V& v, M member) {
 /// NOT the MessageBody variant index, which shifts whenever MessageBody
 /// grows an alternative. Only the RTDS protocol messages (plus monostate
 /// and the tests' debug string) are checkpointable: the APSP exchange runs
-/// on throwaway simulators and the baseline policies post no typed events,
-/// so meeting one of their payloads in a checkpoint is a contract
-/// violation, not a format gap.
+/// on throwaway simulators and no baseline run is ever checkpointed, so
+/// meeting one of their payloads in a checkpoint is a contract violation,
+/// not a format gap.
 using Tagged = std::tuple<std::monostate, EnrollRequest, EnrollReply,
                           UnlockMsg, ValidateRequest, ValidateReply,
                           DispatchMsg, DispatchAck, std::string>;
@@ -226,6 +226,10 @@ void event_io(Ar& ar, Context<Ar>& ctx, std::size_t sites,
         } else if constexpr (std::is_same_v<E, ev::ContendedHop>) {
           fields(ar, u8{}, site(e.origin), site(e.cur), site(e.dest), u64{},
                  u32{}, u64{}, 0.0, e.size_units);
+        } else {
+          // An unlisted kind would save as a kind byte with no fields.
+          static_assert(std::is_same_v<E, std::monostate>,
+                        "every Event kind needs its snapshot fields");
         }
         // The job and the payload travel exactly when the kind holds them.
         constexpr bool has_job = requires { e.job.get(); };

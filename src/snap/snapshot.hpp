@@ -13,8 +13,9 @@
 // tests/snapshot_test.cpp).
 //
 // Any event boundary of a run can be saved, with nothing switched on in
-// advance; save() throws only if a closure (Simulator::schedule_at) is
-// pending. The restore target must be freshly constructed, never stepped.
+// advance; save() throws only if a closure (Simulator::schedule_at, which
+// only tests and benchmarks use) is pending. The restore target must be
+// freshly constructed, never stepped.
 //
 // The caller drives the run through the checkpointable phases
 // (RtdsSystem::start / step_events / run_events_until / finish):

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <queue>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -81,6 +85,92 @@ TEST(Simulator, ZeroDelaySelfScheduleAdvancesQueue) {
   sim.run();
   EXPECT_EQ(fired, 1);
   EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+}
+
+// ------------------------------------------------------ slot lifecycle ----
+
+/// Counts its own destruction; a moved-from probe counts nothing, so each
+/// capture adds one when the slot holding it is destroyed.
+struct Probe {
+  int* destroyed;
+  explicit Probe(int* d) : destroyed(d) {}
+  Probe(Probe&& o) noexcept : destroyed(std::exchange(o.destroyed, nullptr)) {}
+  Probe(const Probe&) = delete;
+  ~Probe() {
+    if (destroyed != nullptr) ++*destroyed;
+  }
+};
+
+/// Runs ev::Arrival events, throwing when told to.
+struct ArrivalSink final : EventOwner {
+  int fired = 0;
+  bool throws = false;
+
+ private:
+  void fire(Event& event) override {
+    EXPECT_NE(std::get<ev::Arrival>(event).job, nullptr);
+    ++fired;
+    if (throws) throw std::runtime_error("arrival");
+  }
+};
+
+TEST(Simulator, EveryEventIsDestroyedOnce) {
+  int small = 0;  // inline closure captures destroyed
+  int big = 0;    // heap-fallback closure captures destroyed
+  const auto job = std::make_shared<const Job>();
+  ArrivalSink sink;
+  int ran = 0;
+  // One event of each representation at `at`; the closures throw when
+  // `throws`, and so does the sink.
+  const auto post_three = [&](Simulator& sim, Time at, bool throws) {
+    sim.schedule_at(at, [p = Probe(&small), &ran, throws] {
+      ++ran;
+      if (throws) throw std::runtime_error("small");
+    });
+    static_assert(sizeof(std::array<char, 64>) > EventFn::kInlineCapacity);
+    sim.schedule_at(at, [p = Probe(&big), pad = std::array<char, 64>{}, &ran,
+                         throws] {
+      ran += 1 + pad[0];
+      if (throws) throw std::runtime_error("big");
+    });
+    sink.throws = throws;
+    sim.post_at(at, sink, ev::Arrival{0, job});
+  };
+  // n of each destroyed so far; the pending arrival holds the job.
+  const auto destroyed = [&](int n, bool pending = false) {
+    EXPECT_EQ(small, n);
+    EXPECT_EQ(big, n);
+    EXPECT_EQ(job.use_count(), pending ? 2 : 1);
+  };
+  {
+    Simulator sim;
+    post_three(sim, 1.0, false);
+    destroyed(0, true);
+    sim.run();
+    EXPECT_EQ(ran, 2);
+    EXPECT_EQ(sink.fired, 1);
+    destroyed(1);
+
+    // A throwing event's slot is released while the exception unwinds.
+    post_three(sim, 2.0, true);
+    for (int i = 0; i < 3; ++i) EXPECT_THROW(sim.step(), std::runtime_error);
+    EXPECT_FALSE(sim.has_events());
+    EXPECT_EQ(ran, 4);
+    EXPECT_EQ(sink.fired, 2);
+    destroyed(2);
+
+    post_three(sim, 3.0, false);
+    sim.clear_pending();
+    EXPECT_FALSE(sim.has_events());
+    destroyed(3);
+
+    // Recycled slots are reused and destroyed once more each.
+    post_three(sim, 4.0, false);
+    destroyed(3, true);
+  }
+  EXPECT_EQ(ran, 4);
+  EXPECT_EQ(sink.fired, 2);
+  destroyed(4);
 }
 
 // ------------------------------------------------- reserved seq band ----
